@@ -31,6 +31,14 @@
 //! pair. Band scans iterate the sides' global `(ts, seq)` arrival index,
 //! so the emission order is identical to the pre-partitioned layout. The
 //! θ predicate (e.g. the sequence's `e1.ts < e2.ts`) is evaluated on top.
+//!
+//! Two plan-level properties trim the remaining work. An [`Emission`] mode
+//! says whether a found pair is emitted once per containing pane (the
+//! paper's raw output, [`Emission::PerPane`]) or once ([`Emission::Once`]
+//! — for joins whose consumer would discard the byte-identical pane
+//! copies anyway). A [`Probe`] direction lets a join whose θ implies an
+//! order between the two sides' working timestamps skip the band probe
+//! that can only find pairs θ rejects.
 
 use crate::error::OpError;
 use crate::operator::keyed_side::KeyedSide;
@@ -39,12 +47,42 @@ use crate::time::{Duration, Timestamp};
 use crate::tuple::{TsRule, Tuple};
 use crate::window::SlidingWindows;
 
+/// How many copies of a qualifying pair a [`WindowJoinOp`] emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Emission {
+    /// One copy per aligned pane containing the pair — the raw sliding
+    /// window semantics (duplicates by design).
+    #[default]
+    PerPane,
+    /// Each qualifying pair exactly once. A pair's pane copies are
+    /// byte-identical, so no consumer can tell which of them it got.
+    Once,
+}
+
+/// Which of a pane firing's two band probes a [`WindowJoinOp`] runs.
+///
+/// The left-band probe finds the pairs with `r.ts ≤ l.ts`, the right-band
+/// probe those with `r.ts > l.ts` (working timestamps). When θ provably
+/// rejects every pair of one kind, the probe that finds them is wasted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Probe {
+    /// Probe from both bands (always correct).
+    #[default]
+    Both,
+    /// θ implies `l.ts < r.ts`: only the right-band probe can qualify.
+    LeftFirst,
+    /// θ implies `r.ts < l.ts`: only the left-band probe can qualify.
+    RightFirst,
+}
+
 /// The two-input sliding-window join operator.
 pub struct WindowJoinOp {
     name: String,
     windows: SlidingWindows,
     theta: JoinPredicate,
     ts_rule: TsRule,
+    emission: Emission,
+    probe: Probe,
     left: KeyedSide,
     right: KeyedSide,
     seq: u64,
@@ -73,6 +111,8 @@ impl WindowJoinOp {
             windows,
             theta,
             ts_rule,
+            emission: Emission::PerPane,
+            probe: Probe::Both,
             left: KeyedSide::default(),
             right: KeyedSide::default(),
             seq: 0,
@@ -81,6 +121,19 @@ impl WindowJoinOp {
             memory_limit: None,
             emitted: 0,
         }
+    }
+
+    /// Emit each qualifying pair once per pane (the default) or once.
+    pub fn with_emission(mut self, emission: Emission) -> Self {
+        self.emission = emission;
+        self
+    }
+
+    /// Restrict pane firings to one band probe. Only sound when θ
+    /// rejects every pair the skipped probe would find (see [`Probe`]).
+    pub fn with_probe(mut self, probe: Probe) -> Self {
+        self.probe = probe;
+        self
     }
 
     /// Install a state budget (bytes); the run fails with
@@ -126,6 +179,7 @@ impl WindowJoinOp {
                 let theta = &self.theta;
                 let ts_rule = self.ts_rule;
                 let slide_ms = slide.millis();
+                let per_pane = self.emission == Emission::PerPane;
                 let mut emitted = 0u64;
                 // A pair is found exactly once: by its band-resident left
                 // against rights at `ts ≤ l.ts` (inclusive), or by its
@@ -139,9 +193,12 @@ impl WindowJoinOp {
                     // same key's runs.
                     debug_assert_eq!(l.key, r.key);
                     if theta(l, r) {
-                        let mn = l.ts.min(r.ts);
-                        let copies =
-                            ((mn.millis() - start.millis()).div_euclid(slide_ms) + 1) as u64;
+                        let copies = if per_pane {
+                            let mn = l.ts.min(r.ts);
+                            ((mn.millis() - start.millis()).div_euclid(slide_ms) + 1) as u64
+                        } else {
+                            1
+                        };
                         // One `join` allocates the composite's constituent
                         // list; `Tuple::events` is an `Arc`, so each extra
                         // pane copy is a refcount bump, not a heap copy.
@@ -153,17 +210,21 @@ impl WindowJoinOp {
                         *emitted += copies;
                     }
                 };
-                for l in self.left.band(band_lo, end) {
-                    if let Some(rights) = self.right.run(l.key) {
-                        for (_, r) in rights.range((start, 0)..=(l.ts, u64::MAX)) {
-                            pair(l, r, &mut emitted);
+                if self.probe != Probe::LeftFirst {
+                    for l in self.left.band(band_lo, end) {
+                        if let Some(rights) = self.right.run(l.key) {
+                            for (_, r) in rights.range((start, 0)..=(l.ts, u64::MAX)) {
+                                pair(l, r, &mut emitted);
+                            }
                         }
                     }
                 }
-                for r in self.right.band(band_lo, end) {
-                    if let Some(lefts) = self.left.run(r.key) {
-                        for (_, l) in lefts.range((start, 0)..(r.ts, 0)) {
-                            pair(l, r, &mut emitted);
+                if self.probe != Probe::RightFirst {
+                    for r in self.right.band(band_lo, end) {
+                        if let Some(lefts) = self.left.run(r.key) {
+                            for (_, l) in lefts.range((start, 0)..(r.ts, 0)) {
+                                pair(l, r, &mut emitted);
+                            }
                         }
                     }
                 }
@@ -399,6 +460,80 @@ mod tests {
             out.iter().all(|t| Arc::ptr_eq(&t.events, &out[0].events)),
             "pane copies must share one events allocation (refcount bumps)"
         );
+    }
+
+    /// Mixed-key, two-sided feed over overlapping panes (W=6, s=2) with
+    /// equal timestamps across the sides, so both probes find pairs.
+    fn overlap_feed() -> Vec<(usize, Tuple)> {
+        (0..30)
+            .map(|i| {
+                let port = (i % 2) as usize;
+                (
+                    port,
+                    tup(port as u16, (i % 3) as u32, (i / 3) as i64, i as f64),
+                )
+            })
+            .collect()
+    }
+
+    fn overlap_op(theta: JoinPredicate) -> WindowJoinOp {
+        let windows = SlidingWindows::new(Duration::from_minutes(6), Duration::from_minutes(2));
+        WindowJoinOp::new("⋈", windows, theta, TsRule::Min)
+    }
+
+    #[test]
+    fn emit_once_is_the_distinct_set_of_per_pane_output() {
+        let per_pane = run(&mut overlap_op(cross_join()), overlap_feed());
+        let once = run(
+            &mut overlap_op(cross_join()).with_emission(Emission::Once),
+            overlap_feed(),
+        );
+        let mut distinct = multiset(&per_pane);
+        distinct.dedup();
+        assert!(per_pane.len() > distinct.len(), "feed must overlap panes");
+        assert_eq!(multiset(&once), distinct, "each pair exactly once");
+    }
+
+    #[test]
+    fn one_sided_probe_matches_both_sided_when_theta_implies_the_order() {
+        // θ: l.ts < r.ts → only the right-band probe can qualify.
+        let lt: JoinPredicate = Arc::new(|l: &Tuple, r: &Tuple| l.ts < r.ts);
+        let both = run(&mut overlap_op(lt.clone()), overlap_feed());
+        let one = run(
+            &mut overlap_op(lt).with_probe(Probe::LeftFirst),
+            overlap_feed(),
+        );
+        assert!(!both.is_empty());
+        assert_eq!(multiset(&one), multiset(&both));
+        // θ: r.ts < l.ts → only the left-band probe can qualify.
+        let gt: JoinPredicate = Arc::new(|l: &Tuple, r: &Tuple| r.ts < l.ts);
+        let both = run(&mut overlap_op(gt.clone()), overlap_feed());
+        let one = run(
+            &mut overlap_op(gt).with_probe(Probe::RightFirst),
+            overlap_feed(),
+        );
+        assert!(!both.is_empty());
+        assert_eq!(multiset(&one), multiset(&both));
+    }
+
+    #[test]
+    fn each_probe_direction_finds_only_its_half() {
+        // Under a cross join the two one-sided modes partition the pairs
+        // by which side is younger; together they are the full output.
+        let both = run(&mut overlap_op(cross_join()), overlap_feed());
+        let right_band = run(
+            &mut overlap_op(cross_join()).with_probe(Probe::LeftFirst),
+            overlap_feed(),
+        );
+        let left_band = run(
+            &mut overlap_op(cross_join()).with_probe(Probe::RightFirst),
+            overlap_feed(),
+        );
+        assert!(right_band.iter().all(|t| t.events[0].ts < t.events[1].ts));
+        assert!(left_band.iter().all(|t| t.events[1].ts <= t.events[0].ts));
+        let mut union = right_band;
+        union.extend(left_band);
+        assert_eq!(multiset(&union), multiset(&both));
     }
 
     #[test]

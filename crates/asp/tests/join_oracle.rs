@@ -16,12 +16,18 @@
 //! size × slide, interval bound shape (sequence / conjunction), θ, and
 //! watermark cadence (`wm_every` — the per-batch punctuation analog, which
 //! varies how aggressively state is evicted mid-stream).
+//!
+//! The window join's two plan-level modes are held to the same oracle:
+//! emit-once output must be the distinct set of both the per-pane output
+//! and the naive reference, and a one-sided probe must reproduce the
+//! two-sided output whenever θ implies the order it relies on.
 
 #![allow(clippy::unwrap_used)]
 
 use asp::event::{Event, EventType};
 use asp::operator::{
-    cross_join, Collector, IntervalBounds, IntervalJoinOp, JoinPredicate, Operator, WindowJoinOp,
+    cross_join, Collector, Emission, IntervalBounds, IntervalJoinOp, JoinPredicate, Operator,
+    Probe, WindowJoinOp,
 };
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, TsRule, Tuple};
@@ -86,7 +92,18 @@ fn theta_of(use_seq: bool) -> JoinPredicate {
 /// Naive sliding-window reference: every left × right pair, same key, θ —
 /// emitted once per aligned pane `[k·s, k·s + W)` containing both.
 fn window_reference(items: &[Item], windows: SlidingWindows, use_seq: bool) -> Vec<MatchKey> {
-    let theta = theta_of(use_seq);
+    window_reference_with(items, windows, &theta_of(use_seq), Emission::PerPane)
+}
+
+/// The naive reference under either emission mode: [`Emission::Once`]
+/// emits each qualifying *pair* once (byte-identical inputs still make
+/// distinct pairs, so this is not the distinct set of match keys).
+fn window_reference_with(
+    items: &[Item],
+    windows: SlidingWindows,
+    theta: &JoinPredicate,
+    emission: Emission,
+) -> Vec<MatchKey> {
     let lefts: Vec<Tuple> = items
         .iter()
         .filter(|i| i.0 == 0)
@@ -106,7 +123,10 @@ fn window_reference(items: &[Item], windows: SlidingWindows, use_seq: bool) -> V
             let (mn, mx) = (l.ts.min(r.ts), l.ts.max(r.ts));
             // Panes containing both = panes assigned to the earlier element
             // whose end also covers the later one.
-            let panes = windows.assign(mn).filter(|wid| mx < wid.end).count();
+            let mut panes = windows.assign(mn).filter(|wid| mx < wid.end).count();
+            if emission == Emission::Once {
+                panes = panes.min(1);
+            }
             let key = l.join(r, TsRule::Max).match_key();
             keys.extend(std::iter::repeat(key).take(panes));
         }
@@ -134,6 +154,29 @@ fn interval_reference(items: &[Item], bounds: IntervalBounds, use_seq: bool) -> 
         }
     }
     keys.sort();
+    keys
+}
+
+/// θ implying an order between the sides' working timestamps, with the
+/// one-sided probe it licenses: `l < r` (a sequence) or `r < l` (a
+/// reordered sequence).
+fn ordered_theta(left_first: bool) -> (JoinPredicate, Probe) {
+    if left_first {
+        (
+            Arc::new(|l: &Tuple, r: &Tuple| l.ts_end() < r.ts_begin()),
+            Probe::LeftFirst,
+        )
+    } else {
+        (
+            Arc::new(|l: &Tuple, r: &Tuple| r.ts_end() < l.ts_begin()),
+            Probe::RightFirst,
+        )
+    }
+}
+
+fn distinct(keys: &[MatchKey]) -> Vec<MatchKey> {
+    let mut keys = keys.to_vec();
+    keys.dedup();
     keys
 }
 
@@ -191,5 +234,60 @@ proptest! {
         let want = interval_reference(&items, bounds, use_seq);
         prop_assert_eq!(got, want);
         prop_assert_eq!(op.state_bytes(), 0, "full eviction after finish");
+    }
+
+    #[test]
+    fn emit_once_is_the_distinct_set_of_per_pane_and_reference(
+        max_key in 1u32..=5,
+        items in arb_items(5),
+        w_min in 1i64..=6,
+        slide_div in 1i64..=4,
+        use_seq in any::<bool>(),
+        wm_every in 1usize..=8,
+    ) {
+        let items: Vec<Item> =
+            items.into_iter().map(|(p, k, m, v)| (p, k % max_key, m, v)).collect();
+        let slide = Duration::from_minutes((w_min / slide_div).max(1));
+        let windows = SlidingWindows::new(Duration::from_minutes(w_min), slide);
+        let mut per_pane = WindowJoinOp::new("⋈", windows, theta_of(use_seq), TsRule::Min);
+        let mut once = WindowJoinOp::new("⋈", windows, theta_of(use_seq), TsRule::Min)
+            .with_emission(Emission::Once);
+        let got = run_op(&mut once, &items, wm_every);
+        let multi = run_op(&mut per_pane, &items, wm_every);
+        prop_assert_eq!(distinct(&got), distinct(&multi));
+        prop_assert_eq!(
+            distinct(&got),
+            distinct(&window_reference(&items, windows, use_seq))
+        );
+        let theta = theta_of(use_seq);
+        prop_assert_eq!(got, window_reference_with(&items, windows, &theta, Emission::Once));
+        prop_assert_eq!(once.state_bytes(), 0, "full eviction after finish");
+    }
+
+    #[test]
+    fn one_sided_probe_matches_two_sided_when_theta_implies_order(
+        max_key in 1u32..=5,
+        items in arb_items(5),
+        w_min in 1i64..=6,
+        slide_div in 1i64..=4,
+        left_first in any::<bool>(),
+        once in any::<bool>(),
+        wm_every in 1usize..=8,
+    ) {
+        let items: Vec<Item> =
+            items.into_iter().map(|(p, k, m, v)| (p, k % max_key, m, v)).collect();
+        let slide = Duration::from_minutes((w_min / slide_div).max(1));
+        let windows = SlidingWindows::new(Duration::from_minutes(w_min), slide);
+        let emission = if once { Emission::Once } else { Emission::PerPane };
+        let (theta, probe) = ordered_theta(left_first);
+        let mut both = WindowJoinOp::new("⋈", windows, theta.clone(), TsRule::Min)
+            .with_emission(emission);
+        let mut one = WindowJoinOp::new("⋈", windows, theta.clone(), TsRule::Min)
+            .with_emission(emission)
+            .with_probe(probe);
+        let got = run_op(&mut one, &items, wm_every);
+        prop_assert_eq!(&got, &run_op(&mut both, &items, wm_every));
+        prop_assert_eq!(got, window_reference_with(&items, windows, &theta, emission));
+        prop_assert_eq!(one.state_bytes(), 0, "full eviction after finish");
     }
 }

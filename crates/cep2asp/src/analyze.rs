@@ -839,18 +839,6 @@ fn state_bound(node: &PlanNode, ctx: &BoundCtx<'_>, acc: &mut f64) {
                 // 2× margin over the retained-input peak absorbs
                 // watermark and batch skew.
                 *acc += 2.0 * retained_bound(side, ctx) * tuple_state_bytes(arity);
-                // An intermediate dedup is spliced in front of a further
-                // join when the side is itself a sliding join; its table
-                // holds at most every distinct emission.
-                if matches!(
-                    side,
-                    PlanNode::Join {
-                        windowing: JoinWindowing::Sliding { .. },
-                        ..
-                    }
-                ) {
-                    *acc += total_bound(side, ctx) * dedup_entry_bytes(arity);
-                }
                 state_bound(side, ctx, acc);
             }
             // Per-open-window bookkeeping.

@@ -78,7 +78,9 @@ pub use physical::{
     build_multi_pipeline, build_pipeline, BuildError, MultiBuild, PhysicalConfig, SourceCatalog,
 };
 pub use plan::{JoinWindowing, LogicalPlan, Partitioning, PlanNode};
-pub use share::{canonical_key, render_multi, share_summary, ShareReport, SharedNode};
+pub use share::{
+    canonical_key, canonical_key_as, render_multi, share_summary, ShareReport, SharedNode,
+};
 pub use sql::to_query_text;
 pub use translate::{translate, JoinOrder, MapperOptions, TranslateError};
 pub use typecheck::{

@@ -7,16 +7,25 @@
 //! projection re-orders each match's constituents into pattern-position
 //! order and re-defines the event time to the match maximum (the
 //! complete-match rule of Section 4.2.2).
+//!
+//! Sliding joins get two plan properties at lowering: an emission role
+//! (a join feeding another join emits each pair once, see
+//! `input_emission`; every other sliding join keeps the paper's
+//! per-pane duplicates) and a probe direction (see `probe_of`). The θ
+//! condition is compiled once into accessors at resolved constituent
+//! positions (`join_theta`), so evaluating a candidate pair allocates
+//! nothing.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use asp::event::{Event, EventType};
+use asp::event::{Attr, Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, NodeId, SinkId, SinkMode, SourceConfig};
 use asp::operator::{
-    Cmp, DedupOp, FilterOp, FilterSpec, IntervalBounds, IntervalJoinOp, JoinPredicate, MapOp,
-    NextOccurrenceOp, Operator, UnaryPredicate, UnionOp, WindowAggregateOp, WindowJoinOp,
+    Cmp, DedupOp, Emission, FilterOp, FilterSpec, IntervalBounds, IntervalJoinOp, JoinPredicate,
+    MapOp, NextOccurrenceOp, Operator, Probe, UnaryPredicate, UnionOp, WindowAggregateOp,
+    WindowJoinOp,
 };
 use asp::time::Timestamp;
 use asp::tuple::{TsRule, Tuple};
@@ -26,7 +35,7 @@ use sea::pattern::Leaf;
 use sea::predicate::{CmpOp, Expr, Predicate, VarId};
 
 use crate::plan::{JoinWindowing, LogicalPlan, Partitioning, PlanNode};
-use crate::share::{canonical_key, share_summary, ShareReport};
+use crate::share::{canonical_key, canonical_key_as, input_emission, share_summary, ShareReport};
 use crate::typecheck::{self, KeyProvenance, ShardSafety, TypedNode};
 
 /// Pre-`Arc`ed per-type source streams shared across the patterns of a
@@ -246,10 +255,10 @@ impl SourceLookup<'_> {
 struct ShareCache {
     /// Plan-node cache (checked/filled by [`Builder::node`]).
     nodes: HashMap<String, Built>,
-    /// Wrapper operators that are not plan nodes themselves — inter-join
-    /// dedups and per-pattern projection/dedup tails — keyed by a
-    /// decorated canonical key so they can be shared without being
-    /// counted as plan nodes.
+    /// Wrapper operators that are not plan nodes themselves — the
+    /// per-pattern projection/dedup tails — keyed by a decorated
+    /// canonical key so they can be shared without being counted as plan
+    /// nodes.
     aux: HashMap<String, Built>,
 }
 
@@ -309,24 +318,32 @@ impl<'a> Builder<'a> {
         Ok(self.g.source_with(format!("src:{etype}"), cfg, 1))
     }
 
-    /// Lower `n`; in conformance mode (`typed` present) splice the edge
-    /// assertion operator onto its output.
+    /// Lower `n` under the emission role its consumer gives it (see
+    /// `input_emission`); in conformance mode (`typed` present) splice
+    /// the edge assertion operator onto its output.
     ///
     /// Under a shared multi-pattern build this is also the interning
-    /// point: a subtree whose [`canonical_key`] was lowered before (by
+    /// point: a subtree whose [`canonical_key_as`] was lowered before (by
     /// this or an earlier pattern) resolves to the existing node, and
-    /// its output edge fans out to the new consumer. The conformance
-    /// assertion is part of the cached chain — the specs it checks are
-    /// invariant under the variable renaming canonicalization quotients
-    /// out, so one asserted edge serves every consumer.
-    fn node(&mut self, n: &PlanNode, typed: Option<&TypedNode>) -> Result<Built, BuildError> {
-        let key = self.share.as_ref().map(|_| canonical_key(n));
+    /// its output edge fans out to the new consumer. The role is part of
+    /// the key, so a sliding join that is one pattern's root and another
+    /// pattern's intermediate lowers twice. The conformance assertion is
+    /// part of the cached chain — the specs it checks are invariant under
+    /// the variable renaming canonicalization quotients out, so one
+    /// asserted edge serves every consumer.
+    fn node(
+        &mut self,
+        n: &PlanNode,
+        typed: Option<&TypedNode>,
+        emission: Emission,
+    ) -> Result<Built, BuildError> {
+        let key = self.share.as_ref().map(|_| canonical_key_as(n, emission));
         if let (Some(k), Some(share)) = (key.as_deref(), self.share.as_ref()) {
             if let Some(b) = share.nodes.get(k) {
                 return Ok(*b);
             }
         }
-        let built = self.node_inner(n, typed)?;
+        let built = self.node_inner(n, typed, emission)?;
         let built = match typed {
             Some(t) => self.conformance(built, t),
             None => built,
@@ -362,7 +379,7 @@ impl<'a> Builder<'a> {
         plan: &LogicalPlan,
         typed: Option<&TypedNode>,
     ) -> Result<SinkId, BuildError> {
-        let root = self.node(&plan.root, typed)?;
+        let root = self.node(&plan.root, typed, Emission::PerPane)?;
         let root_key = self.share.as_ref().map(|_| canonical_key(&plan.root));
         let mut root = match &plan.root {
             // Union children were already projected; everything else gets
@@ -400,8 +417,14 @@ impl<'a> Builder<'a> {
             .sink_with_mode(root.id, Exchange::Rebalance, sink_mode))
     }
 
-    fn node_inner(&mut self, n: &PlanNode, typed: Option<&TypedNode>) -> Result<Built, BuildError> {
+    fn node_inner(
+        &mut self,
+        n: &PlanNode,
+        typed: Option<&TypedNode>,
+        emission: Emission,
+    ) -> Result<Built, BuildError> {
         let child = |i: usize| typed.and_then(|t| t.children.get(i));
+        let child_role = input_emission(n);
         match n {
             PlanNode::Scan {
                 etype,
@@ -449,10 +472,9 @@ impl<'a> Builder<'a> {
             } => {
                 let ll = left.layout();
                 let rl = right.layout();
-                let l = self.node(left, child(0))?;
-                let l = self.maybe_dedup(l, left);
-                let r = self.node(right, child(1))?;
-                let r = self.maybe_dedup(r, right);
+                let probe = probe_of(left, right, order_pairs);
+                let l = self.node(left, child(0), child_role)?;
+                let r = self.node(right, child(1), child_role)?;
                 let shard_par = match partitioning {
                     Partitioning::ByKey => self.shard_par(typed),
                     Partitioning::Global => None,
@@ -479,7 +501,6 @@ impl<'a> Builder<'a> {
                     predicates: predicates.clone(),
                     span_ms: *span_ms,
                     ats_check: *ats_check,
-                    positions: self.positions,
                 });
                 let windowing = *windowing;
                 let limit = self.cfg.memory_limit;
@@ -492,7 +513,9 @@ impl<'a> Builder<'a> {
                                 SlidingWindows::new(size, slide),
                                 theta.clone(),
                                 TsRule::Min,
-                            );
+                            )
+                            .with_emission(emission)
+                            .with_probe(probe);
                             if let Some(l) = limit {
                                 op = op.with_memory_limit(l);
                             }
@@ -528,7 +551,7 @@ impl<'a> Builder<'a> {
             PlanNode::Union { inputs } => {
                 let mut built = Vec::with_capacity(inputs.len());
                 for (ix, i) in inputs.iter().enumerate() {
-                    let b = self.node(i, child(ix))?;
+                    let b = self.node(i, child(ix), child_role)?;
                     // Project each branch before the union so matches are in
                     // canonical position order regardless of branch shape.
                     let b = match i {
@@ -554,7 +577,7 @@ impl<'a> Builder<'a> {
                 window,
                 partitioning,
             } => {
-                let inp = self.node(input, child(0))?;
+                let inp = self.node(input, child(0), child_role)?;
                 let shard_par = match partitioning {
                     Partitioning::ByKey => self.shard_par(typed),
                     Partitioning::Global => None,
@@ -587,7 +610,7 @@ impl<'a> Builder<'a> {
             }
 
             PlanNode::NextOccurrence { trigger, marker, w } => {
-                let t = self.node(trigger, child(0))?;
+                let t = self.node(trigger, child(0), child_role)?;
                 // Physical marker scan: source + the absent leaf's filters.
                 let src = self.source(marker.etype)?;
                 let mspec = leaf_spec(marker);
@@ -621,7 +644,7 @@ impl<'a> Builder<'a> {
             }
 
             PlanNode::Project { input, layout } => {
-                let inp = self.node(input, child(0))?;
+                let inp = self.node(input, child(0), child_role)?;
                 let in_layout = input.layout();
                 // Output position i takes the input position holding
                 // layout[i]; the typechecker guarantees a permutation
@@ -699,42 +722,6 @@ impl<'a> Builder<'a> {
             id,
             parallelism: par,
         }
-    }
-
-    /// Intermediate sliding joins re-emit each composite once per
-    /// overlapping pane; deduplicate before feeding the next join so the
-    /// duplicate factor does not compound multiplicatively down the chain
-    /// (duplicates are byte-identical, so this is semantics-preserving).
-    fn maybe_dedup(&mut self, input: Built, plan: &PlanNode) -> Built {
-        let PlanNode::Join {
-            windowing: JoinWindowing::Sliding { size, .. },
-            ..
-        } = plan
-        else {
-            return input;
-        };
-        let horizon = *size;
-        let par = input.parallelism;
-        // The dedup is state-bearing and a pure function of its input, so
-        // under sharing it rides with the join it wraps: consumers of the
-        // same sliding sub-join share one dedup instead of re-buffering
-        // the horizon each.
-        let key = self
-            .share
-            .as_ref()
-            .map(|_| format!("δ({})", canonical_key(plan)));
-        self.cached_aux(key, |b| {
-            let id = b.g.unary(
-                input.id,
-                Exchange::Hash,
-                par,
-                Box::new(move |_| Box::new(DedupOp::new("δ:intermediate", horizon))),
-            );
-            Built {
-                id,
-                parallelism: par,
-            }
-        })
     }
 
     /// Set the partition key to the sensor id of the constituent bound at
@@ -983,11 +970,18 @@ struct JoinThetaSpec {
     predicates: Vec<Predicate>,
     span_ms: i64,
     ats_check: Option<VarId>,
-    positions: usize,
 }
 
 /// Compile the join condition: window-span guard + newly-checkable order
 /// pairs + newly-bound predicates + the NSEQ `ats` selection.
+///
+/// Every variable is resolved here, once, to its constituent position in
+/// the left or right input ([`Slot`]); evaluating a pair reads
+/// `l.events`/`r.events` at those positions and allocates nothing. A
+/// condition on a variable neither layout binds is vacuous and dropped,
+/// as is one whose position is missing from a shorter tuple at run time
+/// (the sparse-binding semantics of `Predicate::eval_sparse`). The `ats`
+/// selection is the exception: without its variable it rejects.
 fn join_theta(spec: JoinThetaSpec) -> JoinPredicate {
     let JoinThetaSpec {
         left_layout,
@@ -996,16 +990,33 @@ fn join_theta(spec: JoinThetaSpec) -> JoinPredicate {
         predicates,
         span_ms,
         ats_check,
-        positions,
     } = spec;
-    let size = positions.max(
+    let slot = |v: VarId| {
         left_layout
             .iter()
-            .chain(&right_layout)
-            .map(|v| v + 1)
-            .max()
-            .unwrap_or(0),
-    );
+            .position(|x| *x == v)
+            .map(Slot::L)
+            .or_else(|| right_layout.iter().position(|x| *x == v).map(Slot::R))
+    };
+    let order: Vec<(Slot, Slot)> = order_pairs
+        .iter()
+        .filter_map(|(a, b)| Some((slot(*a)?, slot(*b)?)))
+        .collect();
+    let operand = |e: &Expr| match e {
+        Expr::Var(v, a) => slot(*v).map(|s| Operand::Attr(s, *a)),
+        Expr::Const(c) => Some(Operand::Const(*c)),
+    };
+    let preds: Vec<(Operand, CmpOp, Operand)> = predicates
+        .iter()
+        .filter_map(|p| Some((operand(&p.lhs)?, p.op, operand(&p.rhs)?)))
+        .collect();
+    let ats = match ats_check {
+        None => None,
+        Some(v) => match slot(v) {
+            Some(s) => Some(s),
+            None => return Arc::new(|_: &Tuple, _: &Tuple| false),
+        },
+    };
     Arc::new(move |l: &Tuple, r: &Tuple| {
         // Window constraint over the full candidate match: the pairwise
         // |ts_i − ts_j| < W requirement of the data model.
@@ -1014,33 +1025,22 @@ fn join_theta(spec: JoinThetaSpec) -> JoinPredicate {
         if (end - begin).millis() >= span_ms {
             return false;
         }
-        // Sparse binding by pattern position.
-        let mut binding: Vec<Option<Event>> = vec![None; size];
-        for (i, v) in left_layout.iter().enumerate() {
-            if let Some(e) = l.events.get(i) {
-                binding[*v] = Some(*e);
-            }
-        }
-        for (i, v) in right_layout.iter().enumerate() {
-            if let Some(e) = r.events.get(i) {
-                binding[*v] = Some(*e);
-            }
-        }
-        for (a, b) in &order_pairs {
-            if let (Some(ea), Some(eb)) = (&binding[*a], &binding[*b]) {
+        for (a, b) in &order {
+            if let (Some(ea), Some(eb)) = (a.get(l, r), b.get(l, r)) {
                 if ea.ts >= eb.ts {
                     return false;
                 }
             }
         }
-        if !predicates.iter().all(|p| p.eval_sparse(&binding)) {
-            return false;
+        for (lhs, op, rhs) in &preds {
+            if let (Some(x), Some(y)) = (lhs.eval(l, r), rhs.eval(l, r)) {
+                if !op.apply(x, y) {
+                    return false;
+                }
+            }
         }
-        if let Some(v) = ats_check {
-            let Some(ats) = l.ats.or(r.ats) else {
-                return false;
-            };
-            let Some(last) = &binding[v] else {
+        if let Some(s) = ats {
+            let (Some(ats), Some(last)) = (l.ats.or(r.ats), s.get(l, r)) else {
                 return false;
             };
             // σ_{ats ≥ e_v.ts}: no negated event in the open interval
@@ -1054,6 +1054,86 @@ fn join_theta(spec: JoinThetaSpec) -> JoinPredicate {
     })
 }
 
+/// A pattern variable's constituent position in a candidate join pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    L(usize),
+    R(usize),
+}
+
+impl Slot {
+    #[inline]
+    fn get<'t>(self, l: &'t Tuple, r: &'t Tuple) -> Option<&'t Event> {
+        match self {
+            Slot::L(i) => l.events.get(i),
+            Slot::R(i) => r.events.get(i),
+        }
+    }
+}
+
+/// A compiled predicate operand.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Attr(Slot, Attr),
+    Const(f64),
+}
+
+impl Operand {
+    #[inline]
+    fn eval(self, l: &Tuple, r: &Tuple) -> Option<f64> {
+        match self {
+            Operand::Attr(s, a) => s.get(l, r).map(|e| e.attr(a)),
+            Operand::Const(c) => Some(c),
+        }
+    }
+}
+
+/// Whether a node's output tuples carry the minimum of their constituents'
+/// timestamps as working timestamp: scans (one event), joins (lowered
+/// with `TsRule::Min`) over such inputs, and layout projections of them.
+/// Anything else is conservatively `false`.
+fn ts_is_min(n: &PlanNode) -> bool {
+    match n {
+        PlanNode::Scan { .. } => true,
+        PlanNode::Join { left, right, .. } => ts_is_min(left) && ts_is_min(right),
+        PlanNode::Project { input, .. } => ts_is_min(input),
+        PlanNode::Union { .. } | PlanNode::Aggregate { .. } | PlanNode::NextOccurrence { .. } => {
+            false
+        }
+    }
+}
+
+/// The band probe a sliding join over `left ⋈ right` needs.
+///
+/// If every right variable is ordered after some left variable by the
+/// join's own order pairs (θ enforces them strictly), each right
+/// constituent is younger than the oldest left one; when both working
+/// timestamps are constituent minima ([`ts_is_min`]) θ therefore implies
+/// `l.ts < r.ts`, and the left-band probe — which finds only pairs with
+/// `r.ts ≤ l.ts` — can be skipped ([`Probe::LeftFirst`]). The mirror case
+/// gives [`Probe::RightFirst`]; everything else probes both bands.
+fn probe_of(left: &PlanNode, right: &PlanNode, order_pairs: &[(VarId, VarId)]) -> Probe {
+    if !ts_is_min(left) || !ts_is_min(right) {
+        return Probe::Both;
+    }
+    let (ll, rl) = (left.layout(), right.layout());
+    let each_after_some = |later: &[VarId], earlier: &[VarId]| {
+        !later.is_empty()
+            && later.iter().all(|v| {
+                order_pairs
+                    .iter()
+                    .any(|(a, b)| b == v && earlier.contains(a))
+            })
+    };
+    if each_after_some(&rl, &ll) {
+        Probe::LeftFirst
+    } else if each_after_some(&ll, &rl) {
+        Probe::RightFirst
+    } else {
+        Probe::Both
+    }
+}
+
 /// The timestamp at which a projected match is considered detected.
 pub fn detection_ts(t: &Tuple) -> Timestamp {
     t.ts_end()
@@ -1065,6 +1145,8 @@ mod tests {
     use crate::translate::{translate, MapperOptions};
     use sea::pattern::{builders, WindowSpec};
 
+    use sea::pattern::Pattern;
+    use sea::predicate::Predicate;
     const Q: EventType = EventType(0);
     const V: EventType = EventType(1);
 
@@ -1092,7 +1174,6 @@ mod tests {
             predicates: vec![],
             span_ms: 4 * asp::time::MINUTE_MS,
             ats_check: None,
-            positions: 2,
         });
         let a = Tuple::from_event(ev(Q, 1, 0, 1.0));
         let near = Tuple::from_event(ev(V, 1, 3, 2.0));
@@ -1112,7 +1193,6 @@ mod tests {
             predicates: vec![],
             span_ms: 10 * asp::time::MINUTE_MS,
             ats_check: Some(1),
-            positions: 2,
         });
         let mut l = Tuple::from_event(ev(Q, 1, 0, 1.0));
         let r = Tuple::from_event(ev(V, 1, 5, 2.0));
@@ -1124,5 +1204,144 @@ mod tests {
         assert!(!theta(&l, &r), "marker strictly inside → negated");
         l.ats = None;
         assert!(!theta(&l, &r), "missing annotation rejects");
+    }
+
+    /// SEQ3 with same-id keys under O3: two keyed sliding joins, the
+    /// lower one intermediate.
+    fn seq3_o3() -> (Pattern, LogicalPlan, HashMap<EventType, Vec<Event>>) {
+        const PM: EventType = EventType(2);
+        let p = builders::seq(
+            &[(Q, "Q"), (V, "V"), (PM, "PM")],
+            WindowSpec::minutes(4),
+            vec![Predicate::same_id(0, 1), Predicate::same_id(1, 2)],
+        );
+        let plan = translate(&p, &MapperOptions::o3()).unwrap();
+        let mut events = Vec::new();
+        for m in 0..40i64 {
+            for id in 0..3u32 {
+                for (i, t) in [Q, V, PM].into_iter().enumerate() {
+                    // Thin, id- and type-dependent traffic so pairs straddle
+                    // panes unevenly.
+                    if (m + id as i64 + i as i64) % (2 + i as i64) != 0 {
+                        events.push(ev(t, id, m, (m * 7 + id as i64) as f64));
+                    }
+                }
+            }
+        }
+        (p, plan, crate::exec::split_by_type(&events))
+    }
+
+    #[test]
+    fn seq3_o3_lowers_without_intermediate_dedup_and_keeps_raw_count() {
+        let (p, plan, sources) = seq3_o3();
+        let phys = PhysicalConfig {
+            schema_conformance: false,
+            ..PhysicalConfig::default()
+        };
+        let (g, _) = build_pipeline(&plan, &sources, &phys).unwrap();
+        let run = crate::exec::run_pattern(
+            &p,
+            &MapperOptions::o3(),
+            &sources,
+            &phys,
+            &asp::runtime::ExecutorConfig::default(),
+        )
+        .unwrap();
+        // Before emit-once intermediates the same plan lowered to 15 nodes
+        // (a hash-exchanged `δ:intermediate` behind the lower join) and
+        // sank these exact counts: the root keeps its pane multiplicity.
+        assert_eq!(g.node_count(), 14, "one node fewer per intermediate join");
+        assert_eq!(run.raw_count(), 111);
+        assert_eq!(run.dedup_matches().len(), 74);
+    }
+
+    #[test]
+    fn probe_direction_follows_the_order_pairs() {
+        let (_, plan, _) = seq3_o3();
+        let scan = |v: VarId| -> PlanNode {
+            plan.root
+                .scans()
+                .into_iter()
+                .find(|s| matches!(s, PlanNode::Scan { var, .. } if *var == v))
+                .cloned()
+                .unwrap()
+        };
+        let (a, b, c) = (scan(0), scan(1), scan(2));
+        assert_eq!(probe_of(&a, &b, &[(0, 1)]), Probe::LeftFirst);
+        assert_eq!(probe_of(&b, &a, &[(0, 1)]), Probe::RightFirst);
+        assert_eq!(probe_of(&a, &b, &[]), Probe::Both, "AND: no order");
+        let Some(PlanNode::Join { left, right, .. }) = find_join(&plan.root, 2) else {
+            panic!("SEQ3 has a join over all three variables");
+        };
+        // Every join of a SEQ carries the cross-side pairs: one direction.
+        assert_ne!(
+            probe_of(left, right, &[(0, 2), (1, 2), (0, 1)]),
+            Probe::Both
+        );
+        // A projection keeps its input's working timestamp.
+        let pb = PlanNode::Project {
+            input: Box::new(b.clone()),
+            layout: vec![1],
+        };
+        assert_eq!(probe_of(&a, &pb, &[(0, 1)]), Probe::LeftFirst);
+        let union = PlanNode::Union {
+            inputs: vec![b.clone(), c.clone()],
+        };
+        assert_eq!(
+            probe_of(&a, &union, &[(0, 1), (0, 2)]),
+            Probe::Both,
+            "a union's working ts is not a constituent minimum"
+        );
+    }
+
+    /// The first join (pre-order) whose layout spans `n + 1` variables.
+    fn find_join(n: &PlanNode, top: VarId) -> Option<&PlanNode> {
+        match n {
+            PlanNode::Join { left, right, .. } => {
+                if n.layout().len() == top + 1 {
+                    Some(n)
+                } else {
+                    find_join(left, top).or_else(|| find_join(right, top))
+                }
+            }
+            PlanNode::Project { input, .. } => find_join(input, top),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn theta_resolves_predicates_and_treats_unbound_vars_as_vacuous() {
+        use asp::event::Attr;
+        let theta = join_theta(JoinThetaSpec {
+            left_layout: vec![0],
+            right_layout: vec![2],
+            order_pairs: vec![(0, 2), (1, 2)],
+            predicates: vec![
+                Predicate::cross(0, Attr::Value, CmpOp::Le, 2, Attr::Value),
+                // Var 1 is bound by neither side: vacuous.
+                Predicate::cross(1, Attr::Value, CmpOp::Gt, 2, Attr::Value),
+            ],
+            span_ms: 10 * asp::time::MINUTE_MS,
+            ats_check: None,
+        });
+        let l = Tuple::from_event(ev(Q, 1, 0, 1.0));
+        assert!(theta(&l, &Tuple::from_event(ev(V, 1, 2, 5.0))));
+        assert!(
+            !theta(&l, &Tuple::from_event(ev(V, 1, 2, 0.5))),
+            "e1 ≤ e3 fails"
+        );
+        assert!(!theta(&l, &Tuple::from_event(ev(V, 1, 0, 5.0))), "order");
+        // An `ats` check on a variable neither side binds always rejects.
+        let never = join_theta(JoinThetaSpec {
+            left_layout: vec![0],
+            right_layout: vec![2],
+            order_pairs: vec![],
+            predicates: vec![],
+            span_ms: 10 * asp::time::MINUTE_MS,
+            ats_check: Some(1),
+        });
+        let mut annotated = l.clone();
+        annotated.ats = Some(Timestamp::from_minutes(9));
+        assert!(!never(&annotated, &Tuple::from_event(ev(V, 1, 2, 5.0))));
     }
 }

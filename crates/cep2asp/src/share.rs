@@ -25,6 +25,13 @@
 //!   by their exact bit pattern (`f64::to_bits`), so `0.1 + 0.2`-style
 //!   near-misses never merge.
 //!
+//! * A sliding join's **emission role** is part of its key: a sliding
+//!   join that directly feeds another join emits each pair once, one
+//!   that feeds anything else emits every pane copy (`input_emission`),
+//!   and the two are different operators. A sliding join that is one
+//!   pattern's root and another's intermediate is therefore lowered twice;
+//!   everything below it is still shared.
+//!
 //! What is **never** shared: sinks (one per pattern, by construction),
 //! and anything downstream of the first structural difference — sharing
 //! is bottom-up, a differing parent keeps its own operators even when
@@ -36,6 +43,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use asp::operator::Emission;
+
 use sea::pattern::Leaf;
 use sea::predicate::{Expr, Predicate, VarId};
 
@@ -45,10 +54,39 @@ use crate::plan::{JoinWindowing, LogicalPlan, PlanNode};
 /// lowerings are behaviorally identical modulo variable renaming (see
 /// the module docs for the argument).
 pub fn canonical_key(n: &PlanNode) -> String {
+    canonical_key_as(n, Emission::PerPane)
+}
+
+/// [`canonical_key`] of `n` lowered under the emission role `emission`
+/// (which only distinguishes sliding joins; see `input_emission`).
+pub fn canonical_key_as(n: &PlanNode, emission: Emission) -> String {
     let ranks = rank_map(n);
     let mut out = String::new();
-    render(n, &ranks, &mut out);
+    render(n, &ranks, emission, &mut out);
     out
+}
+
+/// The emission role `parent` gives its inputs: a join's direct inputs
+/// emit each pair once (the pane copies of a sliding join are byte-
+/// identical, so the join above would only recompute them), every other
+/// consumer sees the per-pane output. Only sliding joins act on it.
+pub(crate) fn input_emission(parent: &PlanNode) -> Emission {
+    match parent {
+        PlanNode::Join { .. } => Emission::Once,
+        _ => Emission::PerPane,
+    }
+}
+
+/// Whether `n` is a sliding join lowered to emit each pair once.
+fn emits_once(n: &PlanNode, emission: Emission) -> bool {
+    emission == Emission::Once
+        && matches!(
+            n,
+            PlanNode::Join {
+                windowing: JoinWindowing::Sliding { .. },
+                ..
+            }
+        )
 }
 
 /// Order-preserving variable rebase: each distinct [`VarId`] of the
@@ -99,7 +137,8 @@ fn render_leaf(leaf: &Leaf, out: &mut String) {
     }
 }
 
-fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, out: &mut String) {
+fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, emission: Emission, out: &mut String) {
+    let role = input_emission(n);
     match n {
         PlanNode::Scan {
             etype,
@@ -140,6 +179,9 @@ fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, out: &mut String) {
                     let _ = write!(out, "wI{},{}", lower.millis(), upper.millis());
                 }
             }
+            if emits_once(n, emission) {
+                out.push_str(";once");
+            }
             let _ = write!(out, ";p{partitioning:?};s{span_ms}");
             if let Some(v) = ats_check {
                 let _ = write!(out, ";a{}", rank(*v, ranks));
@@ -157,9 +199,9 @@ fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, out: &mut String) {
                 out.push(';');
             }
             out.push_str("];L");
-            render(left, ranks, out);
+            render(left, ranks, role, out);
             out.push_str(";R");
-            render(right, ranks, out);
+            render(right, ranks, role, out);
             out.push(')');
         }
         PlanNode::Union { inputs } => {
@@ -173,7 +215,7 @@ fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, out: &mut String) {
                     let _ = write!(out, "{},", rank(v, ranks));
                 }
                 out.push(']');
-                render(i, ranks, out);
+                render(i, ranks, role, out);
             }
             out.push(')');
         }
@@ -189,14 +231,14 @@ fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, out: &mut String) {
                 window.size.millis(),
                 window.slide.millis()
             );
-            render(input, ranks, out);
+            render(input, ranks, role, out);
             out.push(')');
         }
         PlanNode::NextOccurrence { trigger, marker, w } => {
             let _ = write!(out, "N(w{};M:", w.millis());
             render_leaf(marker, out);
             out.push_str(";T");
-            render(trigger, ranks, out);
+            render(trigger, ranks, role, out);
             out.push(')');
         }
         PlanNode::Project { input, layout } => {
@@ -205,7 +247,7 @@ fn render(n: &PlanNode, ranks: &HashMap<VarId, usize>, out: &mut String) {
                 let _ = write!(out, "{},", rank(*v, ranks));
             }
             out.push_str("];I");
-            render(input, ranks, out);
+            render(input, ranks, role, out);
             out.push(')');
         }
     }
@@ -319,9 +361,14 @@ fn abbrev_list(items: &[String], max: usize) -> String {
 }
 
 /// The head line of a node's `EXPLAIN` rendering (its own label, without
-/// children).
-fn node_line(n: &PlanNode) -> String {
-    n.explain().lines().next().unwrap_or_default().to_string()
+/// children), marked when the node is a sliding join lowered emit-once.
+fn node_line(n: &PlanNode, emission: Emission) -> String {
+    let line = n.explain().lines().next().unwrap_or_default().to_string();
+    if emits_once(n, emission) {
+        format!("{line} [emit-once]")
+    } else {
+        line
+    }
 }
 
 /// Statically intern a batch of plans and report what a shared lowering
@@ -334,21 +381,21 @@ pub fn share_summary<'a>(
     let mut report = ShareReport::default();
     for (name, plan) in plans {
         report.patterns += 1;
-        intern_subtree(&plan.root, name, &mut report);
+        intern_subtree(&plan.root, Emission::PerPane, name, &mut report);
     }
     report.nodes_lowered = report.shared.len();
     report.scans_lowered = report.shared.keys().filter(|k| k.starts_with("S(")).count();
     report
 }
 
-fn intern_subtree(n: &PlanNode, consumer: &str, report: &mut ShareReport) {
+fn intern_subtree(n: &PlanNode, emission: Emission, consumer: &str, report: &mut ShareReport) {
     report.nodes_total += 1;
     if matches!(n, PlanNode::Scan { .. }) {
         report.scans_total += 1;
     }
-    let key = canonical_key(n);
+    let key = canonical_key_as(n, emission);
     let entry = report.shared.entry(key).or_insert_with(|| SharedNode {
-        label: node_line(n),
+        label: node_line(n, emission),
         consumers: Vec::new(),
     });
     if entry.consumers.last().map(String::as_str) != Some(consumer)
@@ -356,20 +403,21 @@ fn intern_subtree(n: &PlanNode, consumer: &str, report: &mut ShareReport) {
     {
         entry.consumers.push(consumer.to_string());
     }
+    let role = input_emission(n);
     match n {
         PlanNode::Scan { .. } => {}
         PlanNode::Join { left, right, .. } => {
-            intern_subtree(left, consumer, report);
-            intern_subtree(right, consumer, report);
+            intern_subtree(left, role, consumer, report);
+            intern_subtree(right, role, consumer, report);
         }
         PlanNode::Union { inputs } => {
             for i in inputs {
-                intern_subtree(i, consumer, report);
+                intern_subtree(i, role, consumer, report);
             }
         }
-        PlanNode::Aggregate { input, .. } => intern_subtree(input, consumer, report),
-        PlanNode::NextOccurrence { trigger, .. } => intern_subtree(trigger, consumer, report),
-        PlanNode::Project { input, .. } => intern_subtree(input, consumer, report),
+        PlanNode::Aggregate { input, .. } => intern_subtree(input, role, consumer, report),
+        PlanNode::NextOccurrence { trigger, .. } => intern_subtree(trigger, role, consumer, report),
+        PlanNode::Project { input, .. } => intern_subtree(input, role, consumer, report),
     }
 }
 
@@ -397,38 +445,40 @@ pub fn render_multi<'a>(
         }
         seen_roots.insert(root_key, name.to_string());
         let _ = writeln!(out, "== {name} [{}]", plan.mapping);
-        render_dag_node(&plan.root, &report, 0, &mut out);
+        render_dag_node(&plan.root, Emission::PerPane, &report, 0, &mut out);
         out.push('\n');
     }
     out.push_str(&report.render_summary());
     out
 }
 
-fn render_dag_node(n: &PlanNode, report: &ShareReport, depth: usize, out: &mut String) {
-    let consumers = report.consumers_of(&canonical_key(n));
+fn render_dag_node(
+    n: &PlanNode,
+    emission: Emission,
+    report: &ShareReport,
+    depth: usize,
+    out: &mut String,
+) {
+    let consumers = report.consumers_of(&canonical_key_as(n, emission));
     let _ = writeln!(
         out,
         "{:indent$}{line}  ×{consumers}",
         "",
         indent = depth * 2,
-        line = node_line(n),
+        line = node_line(n, emission),
     );
+    let role = input_emission(n);
+    let mut child = |c: &PlanNode| render_dag_node(c, role, report, depth + 1, out);
     match n {
         PlanNode::Scan { .. } => {}
         PlanNode::Join { left, right, .. } => {
-            render_dag_node(left, report, depth + 1, out);
-            render_dag_node(right, report, depth + 1, out);
+            child(left);
+            child(right);
         }
-        PlanNode::Union { inputs } => {
-            for i in inputs {
-                render_dag_node(i, report, depth + 1, out);
-            }
-        }
-        PlanNode::Aggregate { input, .. } => render_dag_node(input, report, depth + 1, out),
-        PlanNode::NextOccurrence { trigger, .. } => {
-            render_dag_node(trigger, report, depth + 1, out)
-        }
-        PlanNode::Project { input, .. } => render_dag_node(input, report, depth + 1, out),
+        PlanNode::Union { inputs } => inputs.iter().for_each(child),
+        PlanNode::Aggregate { input, .. } => child(input),
+        PlanNode::NextOccurrence { trigger, .. } => child(trigger),
+        PlanNode::Project { input, .. } => child(input),
     }
 }
 

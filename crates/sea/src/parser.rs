@@ -95,15 +95,19 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
                 i += 1;
             }
             '<' | '>' | '=' | '!' => {
-                let two = &input[i..(i + 2).min(input.len())];
-                if let Some(op) = CmpOp::parse(two) {
+                // `get` rather than slicing: the byte after the operator may
+                // start a multi-byte character (`<π`), which is not a char
+                // boundary. Byte `i` itself is ASCII, so `i..i + 1` is safe.
+                if let Some(op) = input.get(i..i + 2).and_then(CmpOp::parse) {
                     toks.push(Tok::Cmp(op));
                     i += 2;
                 } else if let Some(op) = CmpOp::parse(&input[i..i + 1]) {
                     toks.push(Tok::Cmp(op));
                     i += 1;
                 } else {
-                    return Err(ParseError(format!("unexpected character `{c}`")));
+                    return Err(ParseError(format!(
+                        "unexpected character `{c}` at byte {i}"
+                    )));
                 }
             }
             c if c.is_ascii_digit() => {
@@ -127,7 +131,14 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
                 }
                 toks.push(Tok::Ident(input[start..i].to_string()));
             }
-            other => return Err(ParseError(format!("unexpected character `{other}`"))),
+            _ => {
+                // Every byte consumed so far was ASCII, so `i` is a char
+                // boundary: report the whole (possibly multi-byte) char.
+                let other = input[i..].chars().next().unwrap_or(c);
+                return Err(ParseError(format!(
+                    "unexpected character `{other}` at byte {i}"
+                )));
+            }
         }
     }
     Ok(toks)
@@ -660,6 +671,65 @@ mod tests {
         for (input, needle) in cases {
             let err = parse(input, &mut reg).unwrap_err().to_string();
             assert!(err.contains(needle), "input `{input}`: got `{err}`");
+        }
+    }
+
+    #[test]
+    fn non_ascii_after_an_operator_is_an_error_not_a_panic() {
+        let mut reg = TypeRegistry::new();
+        for input in [
+            "PATTERN SEQ(Q a, V b) WHERE a.value <π 1 WITHIN 4 MINUTES",
+            "PATTERN SEQ(Q a, V b) WHERE a.value !é 1 WITHIN 4 MINUTES",
+            "PATTERN SEQ(Q a, V b) WHERE a.value =",
+            "PATTERN SEQ(Q a, V b) WHERE a.value ≤ 1 WITHIN 4 MINUTES",
+        ] {
+            let err = parse(input, &mut reg).unwrap_err().to_string();
+            assert!(!err.is_empty(), "input `{input}`");
+        }
+        let err = parse("PATTERN SEQ(Q a, V b) WHERE a.value ≤ 1", &mut reg)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("`≤` at byte 36"), "{err}");
+    }
+
+    /// Seeded mutation fuzzing of a valid SEQ3 text: whatever the edits,
+    /// `parse` returns `Ok` or a `ParseError` — it never panics.
+    #[test]
+    fn mutated_seq3_text_never_panics() {
+        const SEQ3: &str = "PATTERN SEQ(Q a, V b, PM10 c)
+             WHERE a.id == b.id AND b.id == c.id AND a.value <= 50
+             WITHIN 6 MINUTES SLIDE 1 MINUTES";
+        const POOL: &[char] = &[
+            '<', '>', '=', '!', '(', ')', ',', '.', '+', '*', ' ', '0', '9', 'e', 'Z', '_', 'π',
+            'é', '€', '≤', '😀', '\u{0}', '\n',
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| -> usize {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let mut chars: Vec<char> = SEQ3.chars().collect();
+            for _ in 0..1 + next(4) {
+                let at = next(chars.len() + 1);
+                match next(3) {
+                    0 => chars.insert(at, POOL[next(POOL.len())]),
+                    1 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    _ if at < chars.len() => chars[at] = POOL[next(POOL.len())],
+                    _ => chars.push(POOL[next(POOL.len())]),
+                }
+            }
+            let text: String = chars.into_iter().collect();
+            let mut reg = TypeRegistry::new();
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parse(&text, &mut reg).map(|_| ())
+            }));
+            assert!(res.is_ok(), "parse panicked on {text:?}");
         }
     }
 

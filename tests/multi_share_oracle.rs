@@ -20,6 +20,7 @@
 #![allow(clippy::unwrap_used)] // test code
 
 use asp::event::{Attr, Event, EventType};
+use asp::operator::Emission;
 use asp::runtime::ExecutorConfig;
 use asp::time::Timestamp;
 use cep2asp::exec::{run_pattern, split_by_type};
@@ -261,4 +262,105 @@ fn sharing_composes_with_sharded_keyed_joins() {
             "{name} found matches"
         );
     }
+}
+
+/// Deterministic emission-role pin: the same keyed sliding sub-join
+/// `A ⋈ B` is the *root* of one pattern (it keeps every pane copy) and an
+/// *intermediate* of another (it feeds `⋈ C` and emits each pair once).
+/// The two roles are different operators, so the role is part of the
+/// canonical key: the static share census must count both joins, the
+/// physical build must lower both, and each pattern's raw and distinct
+/// output must equal its solo run.
+#[test]
+fn sliding_subjoin_as_root_and_as_intermediate_lowers_once_per_role() {
+    let (a, b, c) = (EventType(0), EventType(1), EventType(2));
+    let events: Vec<Event> = (0..40i64)
+        .flat_map(|m| {
+            (0..3u32).flat_map(move |id| {
+                [a, b, c]
+                    .into_iter()
+                    .enumerate()
+                    .filter(move |(i, _)| (m + id as i64 + *i as i64) % 3 != 0)
+                    .map(move |(i, t)| {
+                        Event::new(t, id, Timestamp::from_minutes(m), (m * 7 + i as i64) as f64)
+                    })
+            })
+        })
+        .collect();
+    let sources = split_by_type(&events);
+    let window = WindowSpec::minutes(4);
+    let pair = builders::seq(
+        &[(a, "A"), (b, "B")],
+        window,
+        vec![Predicate::same_id(0, 1)],
+    );
+    let triple = builders::seq(
+        &[(a, "A"), (b, "B"), (c, "C")],
+        window,
+        vec![Predicate::same_id(0, 1), Predicate::same_id(1, 2)],
+    );
+    let opts = MapperOptions::o3();
+
+    // The keys differ only by the role.
+    let pair_plan = cep2asp::translate(&pair, &opts).unwrap();
+    let triple_plan = cep2asp::translate(&triple, &opts).unwrap();
+    let cep2asp::PlanNode::Join { left: sub, .. } = &triple_plan.root else {
+        panic!("SEQ3 in textual order is (A ⋈ B) ⋈ C");
+    };
+    assert_eq!(
+        cep2asp::canonical_key_as(&pair_plan.root, Emission::Once),
+        cep2asp::canonical_key_as(sub, Emission::Once)
+    );
+    assert_ne!(
+        cep2asp::canonical_key(&pair_plan.root),
+        cep2asp::canonical_key_as(sub, Emission::Once)
+    );
+
+    let jobs = vec![
+        PatternJob::new("pair", pair.clone(), opts.clone()),
+        PatternJob::new("triple", triple.clone(), opts.clone()),
+    ];
+    let phys = PhysicalConfig::default();
+    let exec = ExecutorConfig::default();
+    let multi = run_patterns_with(
+        &jobs,
+        &shared_catalog(&sources),
+        &phys,
+        &exec,
+        &MultiOptions::default(),
+    )
+    .unwrap();
+
+    // Census: A ⋈ B twice (one per role) plus the triple's root join, and
+    // exactly those three stateful operators were built — all joins (the
+    // only operators reporting keyed state), no intermediate dedup.
+    let join_keys = multi
+        .share
+        .shared
+        .keys()
+        .filter(|k| k.starts_with("J("))
+        .count();
+    let stateful: Vec<_> = multi
+        .report
+        .nodes
+        .iter()
+        .filter(|n| n.peak_state_bytes > 0)
+        .collect();
+    assert_eq!(join_keys, 3, "{:?}", multi.share);
+    assert_eq!(stateful.len(), join_keys);
+    assert!(stateful.iter().all(|n| n.keyed_left_keys > 0));
+    assert_eq!(multi.share.scans_lowered, 3, "A and B scans shared");
+    assert_eq!(
+        multi.report.source_events,
+        multi.share.expected_source_events
+    );
+
+    for (name, pattern) in [("pair", &pair), ("triple", &triple)] {
+        let solo = run_pattern(pattern, &opts, &sources, &phys, &exec).unwrap();
+        assert!(!solo.dedup_matches().is_empty(), "{name} found matches");
+        assert_eq!(multi.dedup_matches(name), solo.dedup_matches(), "{name}");
+        assert_eq!(multi.raw_count(name), solo.raw_count(), "{name} raw count");
+    }
+    // The root keeps its pane copies: W = 4 min, slide 1 min.
+    assert!(multi.raw_count("pair") > multi.dedup_matches("pair").len() as u64);
 }
