@@ -1,22 +1,29 @@
-//! Interval join — optimization O1 (paper Section 4.3.1).
+//! Band join — the one binary temporal join operator.
 //!
-//! Instead of apriori sliding windows, each left event `e1` defines a
-//! content-based window `(e1.ts + lower, e1.ts + upper)` and joins with
-//! every right event whose timestamp falls inside it (bounds are
-//! *exclusive*, matching the paper's `e2.ts ∈ (e1.ts+lb, e1.ts+ub)`:
-//! the sequence uses `(0, W)` so that `e1.ts < e2.ts < e1.ts + W`; the
-//! conjunction uses `(-W, +W)`). Every qualifying pair is produced exactly
-//! once — at the arrival of its later element — so the interval join is
-//! duplicate-free, needs no slide-size parameter, and creates windows only
-//! where `T1` events actually occur.
+//! A join pairs a left and a right tuple whose working timestamps satisfy
+//! `r.ts − l.ts ∈ (lower, upper)` ([`IntervalBounds`], both ends
+//! exclusive) and θ. Each pair is found exactly once, when its later
+//! element arrives, by a range scan of the opposite side's key run inside
+//! the band; the watermark only evicts. Two of the paper's mappings lower
+//! to it:
+//!
+//! * **Interval join** — optimization O1 (Section 4.3.1): each left `e1`
+//!   opens the content-based window `(e1.ts + lower, e1.ts + upper)`,
+//!   `(0, W)` for a sequence and `(−W, W)` for a conjunction.
+//!   Duplicate-free, with no slide parameter.
+//! * **Sliding-window join** — the Table 1 default: band `(−W, W)` (or its
+//!   half θ implies), and a candidate must also share an aligned pane
+//!   (the pane rule, see [`crate::operator::Emission`]).
 
 use crate::error::OpError;
 use crate::operator::keyed_side::KeyedSide;
-use crate::operator::{Collector, JoinPredicate, KeyedStateStats, Operator};
+use crate::operator::window_join::Panes;
+use crate::operator::{Collector, Emission, JoinPredicate, KeyedStateStats, Operator};
 use crate::time::{Duration, Timestamp};
 use crate::tuple::{TsRule, Tuple};
+use crate::window::SlidingWindows;
 
-/// The relative time window a left event opens over the right stream.
+/// The band `r.ts − l.ts ∈ (lower, upper)` a join pairs within.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalBounds {
     /// Lower bound, exclusive: `e2.ts > e1.ts + lower`.
@@ -33,11 +40,21 @@ impl IntervalBounds {
         Duration(self.upper.millis().max(-self.lower.millis()).max(0))
     }
 
-    /// Sequence / iteration / negated-sequence bounds `(0, W)`.
+    /// Sequence / iteration / negated-sequence bounds `(0, W)`:
+    /// `l.ts < r.ts < l.ts + W`.
     pub fn seq(w: Duration) -> Self {
         IntervalBounds {
             lower: Duration::ZERO,
             upper: w,
+        }
+    }
+
+    /// The mirror of [`IntervalBounds::seq`], equal timestamps included:
+    /// `(−W, 1 ms)`, i.e. `l.ts − W < r.ts ≤ l.ts`.
+    pub fn seq_mirror(w: Duration) -> Self {
+        IntervalBounds {
+            lower: w.neg(),
+            upper: Duration(1),
         }
     }
 
@@ -49,32 +66,29 @@ impl IntervalBounds {
         }
     }
 
+    /// Whether `right_ts − left_ts` lies inside the band.
     #[inline]
-    fn contains(&self, left_ts: Timestamp, right_ts: Timestamp) -> bool {
+    pub fn contains(&self, left_ts: Timestamp, right_ts: Timestamp) -> bool {
         // Saturating: timestamps near the i64 extremes must not overflow.
         right_ts > left_ts.saturating_add(self.lower)
             && right_ts < left_ts.saturating_add(self.upper)
     }
 }
 
-/// The two-input interval join operator.
-///
-/// Each side buffers in a key-partitioned `KeyedSide`: an arriving tuple
-/// probes only its own key's ts-ordered run on the opposite side, and the
-/// side's global arrival index makes watermark eviction a range split —
-/// near O(evicted) — instead of a per-tuple `remove` walk over every key.
-/// A sweep whose cutoff precedes the earliest buffered tuple is O(1)
-/// (watermarks arrive far more often than they advance past data).
+/// The two-input band join operator (see the module docs). Each side
+/// buffers in a key-partitioned `KeyedSide`, so an arriving tuple probes
+/// only its own key's ts-ordered run on the opposite side.
 pub struct IntervalJoinOp {
     name: String,
     bounds: IntervalBounds,
+    /// The pane rule of a sliding-window join; `None` for an interval join.
+    panes: Option<Panes>,
     theta: JoinPredicate,
     ts_rule: TsRule,
     left: KeyedSide,
     right: KeyedSide,
     seq: u64,
     memory_limit: Option<usize>,
-    emitted: u64,
 }
 
 impl IntervalJoinOp {
@@ -89,25 +103,55 @@ impl IntervalJoinOp {
         IntervalJoinOp {
             name: name.into(),
             bounds,
+            panes: None,
             theta,
             ts_rule,
             left: KeyedSide::default(),
             right: KeyedSide::default(),
             seq: 0,
             memory_limit: None,
-            emitted: 0,
         }
+    }
+
+    /// A sliding-window join over `windows`: every pair satisfying `theta`
+    /// is emitted once per aligned pane containing both (the paper's raw
+    /// output; see [`IntervalJoinOp::with_emission`]). The band is
+    /// `(−W, W)`, which every pane-sharing pair lies in.
+    pub fn sliding(
+        name: impl Into<String>,
+        windows: SlidingWindows,
+        theta: JoinPredicate,
+        ts_rule: TsRule,
+    ) -> Self {
+        let band = IntervalBounds::conjunction(windows.size);
+        let emission = Emission::PerPane;
+        IntervalJoinOp {
+            panes: Some(Panes { windows, emission }),
+            ..IntervalJoinOp::new(name, band, theta, ts_rule)
+        }
+    }
+
+    /// Emit each qualifying pair once per shared pane (the default) or
+    /// once. An interval join emits each pair once regardless.
+    pub fn with_emission(mut self, emission: Emission) -> Self {
+        if let Some(panes) = &mut self.panes {
+            panes.emission = emission;
+        }
+        self
+    }
+
+    /// Narrow the band. On a sliding join this is only sound when θ
+    /// rejects every pane-sharing pair outside `bounds` — e.g.
+    /// [`IntervalBounds::seq`] when θ implies `l.ts < r.ts`.
+    pub fn with_bounds(mut self, bounds: IntervalBounds) -> Self {
+        self.bounds = bounds;
+        self
     }
 
     /// Install a state budget (bytes).
     pub fn with_memory_limit(mut self, bytes: usize) -> Self {
         self.memory_limit = Some(bytes);
         self
-    }
-
-    /// Number of joined tuples emitted so far (for tests and metrics).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     fn check_limit(&self) -> Result<(), OpError> {
@@ -132,48 +176,56 @@ impl Operator for IntervalJoinOp {
         tuple: Tuple,
         out: &mut dyn Collector,
     ) -> Result<(), OpError> {
+        debug_assert!(input < 2, "a join has two ports");
         self.seq += 1;
-        if input == 0 {
-            // New left e1: probe buffered rights with ts ∈ (e1.ts+lb, e1.ts+ub).
-            if let Some(buf) = self.right.run(tuple.key) {
-                let lo = (tuple.ts + self.bounds.lower, u64::MAX);
-                for ((rts, _), r) in buf.range(lo..) {
-                    if *rts >= tuple.ts + self.bounds.upper {
-                        break;
-                    }
-                    if self.bounds.contains(tuple.ts, *rts) && (self.theta)(&tuple, r) {
-                        self.emitted += 1;
-                        out.emit(tuple.join(r, self.ts_rule));
-                    }
-                }
-            }
-            self.left.insert(self.seq, tuple);
+        let is_left = input == 0;
+        // The partners' exclusive ts range: a left e1 probes rights in
+        // (e1.ts + lower, e1.ts + upper), a right e2 probes lefts in
+        // (e2.ts − upper, e2.ts − lower).
+        let (partners, lo, hi) = if is_left {
+            (&self.right, self.bounds.lower, self.bounds.upper)
         } else {
-            // New right e2: probe buffered lefts with e2.ts ∈ (l.ts+lb, l.ts+ub),
-            // i.e. l.ts ∈ (e2.ts - ub, e2.ts - lb).
-            if let Some(buf) = self.left.run(tuple.key) {
-                let lo = (tuple.ts - self.bounds.upper, u64::MAX);
-                for ((lts, _), l) in buf.range(lo..) {
-                    if *lts >= tuple.ts - self.bounds.lower {
-                        break;
-                    }
-                    if self.bounds.contains(*lts, tuple.ts) && (self.theta)(l, &tuple) {
-                        self.emitted += 1;
-                        out.emit(l.join(&tuple, self.ts_rule));
-                    }
+            (&self.left, self.bounds.upper.neg(), self.bounds.lower.neg())
+        };
+        let (lo, hi) = (tuple.ts.saturating_add(lo), tuple.ts.saturating_add(hi));
+        if let Some(run) = partners.run(tuple.key) {
+            for ((pts, _), partner) in run.range((lo, u64::MAX)..) {
+                if *pts >= hi {
+                    break;
                 }
+                let (l, r) = if is_left {
+                    (&tuple, partner)
+                } else {
+                    (partner, &tuple)
+                };
+                // The pane rule runs for sliding joins only.
+                let copies = self.panes.as_ref().map_or(1, |p| p.copies(l.ts, r.ts));
+                if copies == 0 || !(self.theta)(l, r) {
+                    continue;
+                }
+                // One `join` allocates the constituent list; `Tuple::events`
+                // is an `Arc`, so each extra pane copy is a refcount bump.
+                let j = l.join(r, self.ts_rule);
+                for _ in 1..copies {
+                    out.emit(j.clone());
+                }
+                out.emit(j);
             }
-            self.right.insert(self.seq, tuple);
         }
+        let side = if is_left {
+            &mut self.left
+        } else {
+            &mut self.right
+        };
+        side.insert(self.seq, tuple);
         self.check_limit()
     }
 
     fn on_watermark(
         &mut self,
         wm: Timestamp,
-        out: &mut dyn Collector,
+        _out: &mut dyn Collector,
     ) -> Result<Timestamp, OpError> {
-        let _ = out;
         // A left l is dead once no future right (ts ≥ wm) can satisfy
         // r.ts < l.ts + upper  ⇔  l.ts ≤ wm - upper.
         self.left.evict_before(
@@ -227,14 +279,15 @@ impl Operator for IntervalJoinOp {
         }))
     }
 
-    /// Merge a sibling's extracted slot state. The interval join emits
-    /// each pair eagerly when its *later* side arrives and keeps no firing
-    /// cursor, so — with the runtime aligning the handoff at a common
-    /// merged watermark — the buffered runs *are* the whole state: every
-    /// pair completed before the marker was emitted by the source, and
-    /// every pair completing after it probes the absorbed runs on the
-    /// target. Eviction horizons depend only on the shared clock, so both
-    /// instances hold the same retention window and the runs compose
+    /// Merge a sibling's extracted slot state. The join emits each pair
+    /// eagerly when its *later* side arrives and keeps no firing cursor,
+    /// so — with the runtime aligning the handoff at a common merged
+    /// watermark — the buffered runs *are* the whole state: every pair
+    /// completed before the marker was emitted by the source, and every
+    /// pair completing after it probes the absorbed runs on the target.
+    /// The pane rule is a test on the pair alone, so sliding joins need
+    /// nothing more. Eviction horizons depend only on the shared clock, so
+    /// both instances hold the same retention window and the runs compose
     /// verbatim, without loss or duplication.
     fn absorb_shard(&mut self, state: Box<dyn std::any::Any + Send>) -> Result<(), OpError> {
         let h = state

@@ -1,19 +1,14 @@
-//! Shared key-partitioned buffer layout for the binary temporal joins.
+//! Shared key-partitioned buffer layout for the band join.
 //!
-//! Both [`WindowJoinOp`](crate::operator::WindowJoinOp) and
-//! [`IntervalJoinOp`](crate::operator::IntervalJoinOp) buffer each side as
+//! [`IntervalJoinOp`](crate::operator::IntervalJoinOp) buffers each side as
 //! a [`KeyedSide`]: a hash map from partition key to a ts-ordered *run*
-//! (`BTreeMap<(ts, seq), Tuple>`), so a probing tuple touches only its own
-//! key's run — per-pane work is O(band × matches-per-key) instead of
-//! O(band × pane). A second, global `(ts, seq) → key` **arrival index**
-//! preserves everything the old single-map layout provided for free:
-//!
-//! * deterministic cross-key iteration in `(ts, seq)` order (the window
-//!   join's band scans emit in exactly the pre-partitioning order),
-//! * O(1) earliest-ts lookup for empty-window skipping, and
-//! * range eviction: one `split_off` on the index yields the evicted
-//!   entries, and only the *touched* keys' runs are then split — near
-//!   O(evicted), never a per-tuple `remove` walk over every key.
+//! (`BTreeMap<(ts, seq), Tuple>`), so an arriving tuple range-scans only
+//! its own key's run on the opposite side — O(matches-per-key) per probe
+//! instead of O(band). A second, global `(ts, seq) → key` **arrival
+//! index** makes eviction a range operation: one `split_off` on the index
+//! yields the evicted entries, and only the *touched* keys' runs are then
+//! split — near O(evicted), never a per-tuple `remove` walk over every
+//! key. The index also orders a shard handoff's extracted tuples.
 //!
 //! Byte accounting charges [`Tuple::mem_bytes`] per buffered tuple, same
 //! as the old layout; the ~24-byte index entry rides inside the static
@@ -56,11 +51,6 @@ impl KeyedSide {
         self.peak_keys = self.peak_keys.max(self.by_key.len());
     }
 
-    /// Timestamp of the earliest buffered tuple, across all keys.
-    pub fn earliest(&self) -> Option<Timestamp> {
-        self.order.first_key_value().map(|((ts, _), _)| *ts)
-    }
-
     /// Buffered footprint in bytes ([`Tuple::mem_bytes`] per tuple).
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -79,14 +69,6 @@ impl KeyedSide {
     /// The ts-ordered run buffered for `key`, if any.
     pub fn run(&self, key: Key) -> Option<&Run> {
         self.by_key.get(&key)
-    }
-
-    /// All tuples with `lo ≤ ts < hi`, in global `(ts, seq)` arrival order
-    /// regardless of key — the window join's deterministic band scan.
-    pub fn band(&self, lo: Timestamp, hi: Timestamp) -> impl Iterator<Item = &Tuple> + '_ {
-        self.order
-            .range((lo, 0)..(hi, 0))
-            .filter_map(move |(entry, key)| self.by_key.get(key).and_then(|run| run.get(entry)))
     }
 
     /// Remove and return every buffered tuple whose key satisfies `part`,
@@ -183,17 +165,22 @@ mod tests {
     }
 
     #[test]
-    fn band_preserves_global_arrival_order_across_keys() {
+    fn extract_keys_preserves_global_arrival_order_across_keys() {
         let mut side = KeyedSide::default();
-        for (seq, (key, m)) in [(7u64, 3i64), (1, 1), (7, 2), (2, 1)].iter().enumerate() {
+        for (seq, (key, m)) in [(7u64, 3i64), (1, 1), (7, 2), (2, 1), (3, 0)]
+            .iter()
+            .enumerate()
+        {
             side.insert(seq as u64, tup(*key, *m));
         }
         let got: Vec<(u64, i64)> = side
-            .band(Timestamp::MIN, Timestamp::MAX)
+            .extract_keys(&|k| k != 3)
+            .iter()
             .map(|t| (t.key, t.ts.millis() / 60_000))
             .collect();
         // (ts, seq) order, interleaving keys exactly as they arrived.
         assert_eq!(got, vec![(1, 1), (2, 1), (7, 2), (7, 3)]);
+        assert_eq!(side.bytes(), tup(3, 0).mem_bytes(), "key 3 stays");
     }
 
     #[test]
@@ -205,12 +192,18 @@ mod tests {
         assert!(side.bytes() > 0);
         assert_eq!(side.peak_keys(), 3);
         side.evict_before(Timestamp::from_minutes(5));
-        assert_eq!(side.earliest(), Some(Timestamp::from_minutes(5)));
-        let live: usize = (0..3).map(|k| side.run(k).map_or(0, Run::len)).sum();
-        assert_eq!(live, 5);
+        let live: Vec<Timestamp> = (0..3)
+            .flat_map(|k| {
+                side.run(k)
+                    .into_iter()
+                    .flat_map(|r| r.keys().map(|(ts, _)| *ts))
+            })
+            .collect();
+        assert_eq!(live.len(), 5);
+        assert!(live.iter().all(|ts| *ts >= Timestamp::from_minutes(5)));
         side.evict_before(Timestamp::MAX);
         assert_eq!(side.bytes(), 0, "full eviction zeroes the byte gauge");
-        assert_eq!(side.earliest(), None);
+        assert!((0..3).all(|k| side.run(k).is_none()));
         assert_eq!(side.peak_run(), 4, "peaks survive eviction");
     }
 

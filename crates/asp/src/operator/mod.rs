@@ -29,7 +29,7 @@ pub use interval_join::{IntervalBounds, IntervalJoinOp};
 pub use map::{MapKind, MapOp};
 pub use next_occurrence::NextOccurrenceOp;
 pub use union::UnionOp;
-pub use window_join::{Emission, Probe, WindowJoinOp};
+pub use window_join::Emission;
 pub use window_udf::WindowUdfOp;
 
 use std::sync::Arc;

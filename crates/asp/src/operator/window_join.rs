@@ -1,53 +1,32 @@
-//! Sliding-window join — the default mapping target for conjunction,
-//! sequence, and iteration (paper Table 1).
+//! Sliding-window admission for the band join — the default mapping
+//! target for conjunction, sequence, and iteration (paper Table 1).
 //!
 //! Both inputs are discretized into the same (possibly overlapping)
-//! substreams `T_k` (Section 3.1.2); when the watermark passes a window's
-//! end, the buffered sides are joined pairwise under the θ predicate and
-//! every qualifying pair is emitted as a (partial) match. Overlapping
-//! windows produce duplicate matches by design — the semantic equivalence
-//! of Section 4 is modulo duplicates.
+//! aligned panes `[k·s, k·s + W)` (Section 3.1.2), and every pair
+//! satisfying θ that shares a pane is a (partial) match, once per shared
+//! pane. Overlapping windows produce duplicate matches by design — the
+//! semantic equivalence of Section 4 is modulo duplicates.
 //!
-//! Each tuple is buffered **once** per side in a key-partitioned
-//! `KeyedSide`; window evaluation is *incremental* across overlapping
-//! panes. When the watermark completes pane `[s, s+W)`, only the
-//! slide-delta band `[s+W−slide, s+W)` of each buffer — the tuples no
-//! earlier pane has probed — is joined against the other side's pane
-//! range; a qualifying pair is found exactly once, in the first pane
-//! containing both elements, and is emitted with the multiplicity of all
-//! `(min_ts − s)/slide + 1` panes that contain it. The output multiset is
-//! identical to rescanning every pane in full, but each tuple is probed
-//! O(1) times instead of `W/slide` times (90 for the paper's ITER⁴
-//! workload).
+//! **The pane rule is a pair test.** Take a pair with working timestamps
+//! `mn ≤ mx`. It shares an aligned pane exactly when
+//! `s0 = first_window_start(mx) ≤ mn` (the epoch clamp included), and it
+//! lives in `(mn − s0)/slide + 1` panes. Both facts are known when the
+//! later element arrives, so a sliding join is an
+//! [`IntervalJoinOp`](crate::operator::IntervalJoinOp) over the band
+//! `(−W, W)` — which every pane-sharing pair lies in — whose candidates
+//! must also pass this test. It emits on arrival and the watermark only
+//! evicts; the output multiset is identical to rescanning every pane when
+//! the watermark closes it, as Flink's window join does.
 //!
-//! Pairing is per *key* within the window: with the O3 equi-join
-//! optimization the key is the matching attribute (sensor id) and the
-//! join parallelizes; without it, a preceding uniform-key map degenerates
-//! the operator to one global partition (Section 4.3.3). The key equality
-//! is *structural*: a band tuple probes only its own key's ts-ordered run
-//! on the opposite side, so per-pane work is O(band × matches-per-key)
-//! instead of O(band × pane) — with K distinct keys the old global range
-//! scan wasted ~K× of its probe work filtering `l.key == r.key` pair by
-//! pair. Band scans iterate the sides' global `(ts, seq)` arrival index,
-//! so the emission order is identical to the pre-partitioned layout. The
-//! θ predicate (e.g. the sequence's `e1.ts < e2.ts`) is evaluated on top.
-//!
-//! Two plan-level properties trim the remaining work. An [`Emission`] mode
-//! says whether a found pair is emitted once per containing pane (the
-//! paper's raw output, [`Emission::PerPane`]) or once ([`Emission::Once`]
-//! — for joins whose consumer would discard the byte-identical pane
-//! copies anyway). A [`Probe`] direction lets a join whose θ implies an
-//! order between the two sides' working timestamps skip the band probe
-//! that can only find pairs θ rejects.
+//! An [`Emission`] mode says whether a found pair is emitted once per
+//! containing pane (the paper's raw output, [`Emission::PerPane`]) or once
+//! ([`Emission::Once`] — for joins whose consumer would discard the
+//! byte-identical pane copies anyway).
 
-use crate::error::OpError;
-use crate::operator::keyed_side::KeyedSide;
-use crate::operator::{Collector, JoinPredicate, KeyedStateStats, Operator};
-use crate::time::{Duration, Timestamp};
-use crate::tuple::{TsRule, Tuple};
+use crate::time::Timestamp;
 use crate::window::SlidingWindows;
 
-/// How many copies of a qualifying pair a [`WindowJoinOp`] emits.
+/// How many copies of a qualifying pair a sliding join emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Emission {
     /// One copy per aligned pane containing the pair — the raw sliding
@@ -59,316 +38,49 @@ pub enum Emission {
     Once,
 }
 
-/// Which of a pane firing's two band probes a [`WindowJoinOp`] runs.
-///
-/// The left-band probe finds the pairs with `r.ts ≤ l.ts`, the right-band
-/// probe those with `r.ts > l.ts` (working timestamps). When θ provably
-/// rejects every pair of one kind, the probe that finds them is wasted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Probe {
-    /// Probe from both bands (always correct).
-    #[default]
-    Both,
-    /// θ implies `l.ts < r.ts`: only the right-band probe can qualify.
-    LeftFirst,
-    /// θ implies `r.ts < l.ts`: only the left-band probe can qualify.
-    RightFirst,
+/// The pane rule of a sliding join (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Panes {
+    pub windows: SlidingWindows,
+    pub emission: Emission,
 }
 
-/// The two-input sliding-window join operator.
-pub struct WindowJoinOp {
-    name: String,
-    windows: SlidingWindows,
-    theta: JoinPredicate,
-    ts_rule: TsRule,
-    emission: Emission,
-    probe: Probe,
-    left: KeyedSide,
-    right: KeyedSide,
-    seq: u64,
-    /// Start of the next window to evaluate (aligned to the slide).
-    next_fire: Timestamp,
-    /// Exclusive upper bound of the buffer region already probed by a fired
-    /// pane. Tuples below it were matched when *their* first pane fired, so
-    /// later overlapping panes only probe the delta band above it.
-    probed_hi: Timestamp,
-    /// Optional hard cap on buffered state; exceeding it aborts the run.
-    memory_limit: Option<usize>,
-    emitted: u64,
-}
-
-impl WindowJoinOp {
-    /// A sliding-window join over `windows`: per window, emit all pairs
-    /// satisfying `theta`; output timestamps follow `ts_rule`.
-    pub fn new(
-        name: impl Into<String>,
-        windows: SlidingWindows,
-        theta: JoinPredicate,
-        ts_rule: TsRule,
-    ) -> Self {
-        WindowJoinOp {
-            name: name.into(),
-            windows,
-            theta,
-            ts_rule,
-            emission: Emission::PerPane,
-            probe: Probe::Both,
-            left: KeyedSide::default(),
-            right: KeyedSide::default(),
-            seq: 0,
-            next_fire: Timestamp(0),
-            probed_hi: Timestamp(0),
-            memory_limit: None,
-            emitted: 0,
+impl Panes {
+    /// Copies to emit for a pair with working timestamps `a` and `b`: 0
+    /// when the two share no aligned pane, else the pane count (or 1
+    /// under [`Emission::Once`]).
+    #[inline]
+    pub fn copies(&self, a: Timestamp, b: Timestamp) -> u64 {
+        let (mn, mx) = if a <= b { (a, b) } else { (b, a) };
+        let s0 = self.windows.first_window_start(mx);
+        if s0 > mn {
+            return 0;
         }
-    }
-
-    /// Emit each qualifying pair once per pane (the default) or once.
-    pub fn with_emission(mut self, emission: Emission) -> Self {
-        self.emission = emission;
-        self
-    }
-
-    /// Restrict pane firings to one band probe. Only sound when θ
-    /// rejects every pair the skipped probe would find (see [`Probe`]).
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Install a state budget (bytes); the run fails with
-    /// [`OpError::MemoryExhausted`] when exceeded.
-    pub fn with_memory_limit(mut self, bytes: usize) -> Self {
-        self.memory_limit = Some(bytes);
-        self
-    }
-
-    /// Matches emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    fn fire(&mut self, upto: Timestamp, out: &mut dyn Collector) {
-        let w = Duration(self.windows.size.millis());
-        let slide = Duration(self.windows.slide.millis());
-        loop {
-            // Jump over stretches with no buffered data.
-            let earliest = match (self.left.earliest(), self.right.earliest()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            let min_start = self.windows.first_window_start(earliest);
-            if self.next_fire < min_start {
-                self.next_fire = min_start;
-            }
-            let start = self.next_fire;
-            // Window [start, start+W) is complete once wm ≥ start+W.
-            if start.saturating_add(w) > upto {
-                break;
-            }
-            let end = start.saturating_add(w);
-            // Incremental pane evaluation: probe only the band the previous
-            // panes have not seen. Every pair whose younger element is below
-            // the band was found — with full multiplicity — when the first
-            // pane containing both fired, so rescanning it here would only
-            // duplicate output.
-            let band_lo = self.probed_hi.max(start);
-            {
-                let theta = &self.theta;
-                let ts_rule = self.ts_rule;
-                let slide_ms = slide.millis();
-                let per_pane = self.emission == Emission::PerPane;
-                let mut emitted = 0u64;
-                // A pair is found exactly once: by its band-resident left
-                // against rights at `ts ≤ l.ts` (inclusive), or by its
-                // band-resident right against strictly older lefts — the
-                // two probes partition the pairs by which side is younger.
-                // `start` is the first aligned pane containing the pair, so
-                // it lives in `(min_ts − start)/slide + 1` panes total; all
-                // copies are emitted here and later panes skip the pair.
-                let mut pair = |l: &Tuple, r: &Tuple, emitted: &mut u64| {
-                    // Key equality is structural: both tuples come from the
-                    // same key's runs.
-                    debug_assert_eq!(l.key, r.key);
-                    if theta(l, r) {
-                        let copies = if per_pane {
-                            let mn = l.ts.min(r.ts);
-                            ((mn.millis() - start.millis()).div_euclid(slide_ms) + 1) as u64
-                        } else {
-                            1
-                        };
-                        // One `join` allocates the composite's constituent
-                        // list; `Tuple::events` is an `Arc`, so each extra
-                        // pane copy is a refcount bump, not a heap copy.
-                        let j = l.join(r, ts_rule);
-                        for _ in 1..copies {
-                            out.emit(j.clone());
-                        }
-                        out.emit(j);
-                        *emitted += copies;
-                    }
-                };
-                if self.probe != Probe::LeftFirst {
-                    for l in self.left.band(band_lo, end) {
-                        if let Some(rights) = self.right.run(l.key) {
-                            for (_, r) in rights.range((start, 0)..=(l.ts, u64::MAX)) {
-                                pair(l, r, &mut emitted);
-                            }
-                        }
-                    }
-                }
-                if self.probe != Probe::RightFirst {
-                    for r in self.right.band(band_lo, end) {
-                        if let Some(lefts) = self.left.run(r.key) {
-                            for (_, l) in lefts.range((start, 0)..(r.ts, 0)) {
-                                pair(l, r, &mut emitted);
-                            }
-                        }
-                    }
-                }
-                self.emitted += emitted;
-            }
-            self.probed_hi = self.probed_hi.max(end);
-            // Tuples below the next window start can never appear again.
-            self.next_fire = start.saturating_add(slide);
-            self.left.evict_before(self.next_fire);
-            self.right.evict_before(self.next_fire);
-        }
-    }
-
-    fn check_limit(&mut self) -> Result<(), OpError> {
-        let used = self.left.bytes() + self.right.bytes();
-        if let Some(limit) = self.memory_limit {
-            if used > limit {
-                return Err(OpError::MemoryExhausted {
-                    operator: self.name.clone(),
-                    state_bytes: used,
-                    limit_bytes: limit,
-                });
+        match self.emission {
+            Emission::Once => 1,
+            Emission::PerPane => {
+                ((mn.millis() - s0.millis()) / self.windows.slide.millis() + 1) as u64
             }
         }
-        Ok(())
     }
-}
-
-impl Operator for WindowJoinOp {
-    fn process(
-        &mut self,
-        input: usize,
-        tuple: Tuple,
-        _out: &mut dyn Collector,
-    ) -> Result<(), OpError> {
-        debug_assert!(input < 2, "window join has two ports");
-        self.seq += 1;
-        if input == 0 {
-            self.left.insert(self.seq, tuple);
-        } else {
-            self.right.insert(self.seq, tuple);
-        }
-        self.check_limit()
-    }
-
-    fn on_watermark(
-        &mut self,
-        wm: Timestamp,
-        out: &mut dyn Collector,
-    ) -> Result<Timestamp, OpError> {
-        self.fire(wm, out);
-        // Watermark contract: all *future* emissions carry ts ≥ the
-        // forwarded watermark. A window firing at some later wm' > wm has
-        // start > wm − W, and emitted composites carry ts ≥ start under
-        // every TsRule, so hold the forwarded watermark back by W.
-        Ok(wm
-            .saturating_sub(Duration(self.windows.size.millis()))
-            .saturating_add(Duration(1)))
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.left.bytes() + self.right.bytes()
-    }
-
-    fn keyed_state(&self) -> Option<KeyedStateStats> {
-        Some(KeyedStateStats {
-            left_keys: self.left.peak_keys(),
-            right_keys: self.right.peak_keys(),
-            max_run_len: self.left.peak_run().max(self.right.peak_run()),
-        })
-    }
-
-    fn shard_handoff_supported(&self) -> bool {
-        true
-    }
-
-    fn extract_shard(
-        &mut self,
-        part: &dyn Fn(u64) -> bool,
-    ) -> Option<Box<dyn std::any::Any + Send>> {
-        Some(Box::new(WindowJoinHandoff {
-            left: self.left.extract_keys(part),
-            right: self.right.extract_keys(part),
-            next_fire: self.next_fire,
-            probed_hi: self.probed_hi,
-        }))
-    }
-
-    /// Merge a sibling's extracted slot state. Both instances have fired
-    /// every window ending at or below the same merged watermark `W` when
-    /// the runtime aligns the handoff, so the cursors compose:
-    ///
-    /// * `next_fire` takes the **min** — the source may have advanced
-    ///   further only past windows *it* had no data for, and re-walking a
-    ///   window is free of duplicates because its band floor (`probed_hi`)
-    ///   already covers every pair emitted there;
-    /// * `probed_hi` takes the **max** — a row the source holds below the
-    ///   target's probe floor cannot exist: every window ending ≤ `W` that
-    ///   contains it fired on the source too, which would have pushed the
-    ///   source's own floor past the row (and symmetrically for the
-    ///   target's rows against the source's floor). So raising the floor
-    ///   to the max never skips an unemitted pair.
-    fn absorb_shard(&mut self, state: Box<dyn std::any::Any + Send>) -> Result<(), OpError> {
-        let h = state
-            .downcast::<WindowJoinHandoff>()
-            .map_err(|_| OpError::Failed {
-                operator: self.name.clone(),
-                reason: "shard handoff payload is not WindowJoinHandoff state".to_string(),
-            })?;
-        self.next_fire = self.next_fire.min(h.next_fire);
-        self.probed_hi = self.probed_hi.max(h.probed_hi);
-        self.left.absorb(h.left, &mut self.seq);
-        self.right.absorb(h.right, &mut self.seq);
-        self.check_limit()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A slot's extracted [`WindowJoinOp`] state in flight between shard
-/// instances: both sides' tuples for the migrated keys in arrival order,
-/// plus the source's firing cursors.
-struct WindowJoinHandoff {
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
-    next_fire: Timestamp,
-    probed_hi: Timestamp,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::testutil::tup;
-    use crate::operator::{cross_join, VecCollector};
+    use crate::operator::{
+        cross_join, IntervalBounds, IntervalJoinOp, JoinPredicate, Operator, VecCollector,
+    };
     use crate::time::Duration;
+    use crate::tuple::{TsRule, Tuple};
     use std::sync::Arc;
 
     fn seq_theta() -> JoinPredicate {
         Arc::new(|l: &Tuple, r: &Tuple| l.ts_end() < r.ts_begin())
     }
 
-    fn run(op: &mut WindowJoinOp, feed: Vec<(usize, Tuple)>) -> Vec<Tuple> {
+    fn run(op: &mut IntervalJoinOp, feed: Vec<(usize, Tuple)>) -> Vec<Tuple> {
         let mut col = VecCollector::default();
         let mut wm = Timestamp::MIN;
         for (port, t) in feed {
@@ -380,9 +92,61 @@ mod tests {
         col.out
     }
 
+    /// Brute force over every aligned pane: how many panes hold both.
+    fn shared_panes(windows: SlidingWindows, a: Timestamp, b: Timestamp) -> u64 {
+        let (mn, mx) = (a.min(b), a.max(b));
+        windows.assign(mn).filter(|wid| mx < wid.end).count() as u64
+    }
+
+    #[test]
+    fn pane_rule_matches_brute_force_at_the_boundaries() {
+        // Epoch clamp (ts < W), a slide that does not divide W, and pairs
+        // exactly W and W − 1 apart on both sides of an alignment.
+        for (w, s) in [(4, 3), (4, 1), (4, 4), (5, 2), (10, 3)] {
+            let windows = SlidingWindows::new(Duration(w), Duration(s));
+            let per_pane = Panes {
+                windows,
+                emission: Emission::PerPane,
+            };
+            let once = Panes {
+                emission: Emission::Once,
+                ..per_pane
+            };
+            for a in 0..3 * w {
+                for d in 0..=w {
+                    let (ta, tb) = (Timestamp(a), Timestamp(a + d));
+                    let want = shared_panes(windows, ta, tb);
+                    assert_eq!(per_pane.copies(ta, tb), want, "W={w} s={s} a={a} d={d}");
+                    assert_eq!(per_pane.copies(tb, ta), want, "argument order");
+                    assert_eq!(once.copies(ta, tb), want.min(1));
+                }
+            }
+        }
+        let windows = SlidingWindows::new(Duration(4), Duration(3));
+        let p = Panes {
+            windows,
+            emission: Emission::PerPane,
+        };
+        // W − 1 apart straddling the alignment at 6: [3,7) holds both.
+        assert_eq!(p.copies(Timestamp(3), Timestamp(6)), 1);
+        // W − 1 apart from an alignment: [6,10) holds both.
+        assert_eq!(p.copies(Timestamp(6), Timestamp(9)), 1);
+        // W − 1 apart, no aligned start in (mx − W, mn]: no shared pane.
+        assert_eq!(p.copies(Timestamp(4), Timestamp(7)), 0);
+        // Exactly W apart: never.
+        assert_eq!(p.copies(Timestamp(3), Timestamp(7)), 0);
+        // Epoch clamp: before W, the first pane starts at 0.
+        assert_eq!(p.copies(Timestamp(0), Timestamp(2)), 1);
+        assert_eq!(
+            p.copies(Timestamp(-1), Timestamp(1)),
+            0,
+            "no pane starts before the epoch"
+        );
+    }
+
     #[test]
     fn tumbling_cross_join_pairs_within_window_only() {
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::tumbling(Duration::from_minutes(10)),
             cross_join(),
@@ -404,7 +168,7 @@ mod tests {
 
     #[test]
     fn theta_predicate_enforces_sequence_order() {
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈θ",
             SlidingWindows::tumbling(Duration::from_minutes(10)),
             seq_theta(),
@@ -427,7 +191,7 @@ mod tests {
     #[test]
     fn sliding_windows_emit_duplicates_for_overlap() {
         // W=4, s=2 → a pair 1 minute apart co-occurs in 2 windows → 2 copies.
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::new(Duration::from_minutes(4), Duration::from_minutes(2)),
             cross_join(),
@@ -445,7 +209,7 @@ mod tests {
     fn duplicate_emissions_share_the_events_allocation() {
         // The pane-multiplicity path must not deep-copy the composite:
         // every copy's constituent list is the same Arc allocation.
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::new(Duration::from_minutes(6), Duration::from_minutes(2)),
             cross_join(),
@@ -476,9 +240,11 @@ mod tests {
             .collect()
     }
 
-    fn overlap_op(theta: JoinPredicate) -> WindowJoinOp {
-        let windows = SlidingWindows::new(Duration::from_minutes(6), Duration::from_minutes(2));
-        WindowJoinOp::new("⋈", windows, theta, TsRule::Min)
+    const OVERLAP_W: Duration = Duration::from_minutes(6);
+
+    fn overlap_op(theta: JoinPredicate) -> IntervalJoinOp {
+        let windows = SlidingWindows::new(OVERLAP_W, Duration::from_minutes(2));
+        IntervalJoinOp::sliding("⋈", windows, theta, TsRule::Min)
     }
 
     #[test]
@@ -496,20 +262,20 @@ mod tests {
 
     #[test]
     fn one_sided_probe_matches_both_sided_when_theta_implies_the_order() {
-        // θ: l.ts < r.ts → only the right-band probe can qualify.
+        // θ: l.ts < r.ts → the band (0, W) finds every qualifying pair.
         let lt: JoinPredicate = Arc::new(|l: &Tuple, r: &Tuple| l.ts < r.ts);
         let both = run(&mut overlap_op(lt.clone()), overlap_feed());
         let one = run(
-            &mut overlap_op(lt).with_probe(Probe::LeftFirst),
+            &mut overlap_op(lt).with_bounds(IntervalBounds::seq(OVERLAP_W)),
             overlap_feed(),
         );
         assert!(!both.is_empty());
         assert_eq!(multiset(&one), multiset(&both));
-        // θ: r.ts < l.ts → only the left-band probe can qualify.
+        // θ: r.ts < l.ts → the mirror band (−W, 1 ms) does.
         let gt: JoinPredicate = Arc::new(|l: &Tuple, r: &Tuple| r.ts < l.ts);
         let both = run(&mut overlap_op(gt.clone()), overlap_feed());
         let one = run(
-            &mut overlap_op(gt).with_probe(Probe::RightFirst),
+            &mut overlap_op(gt).with_bounds(IntervalBounds::seq_mirror(OVERLAP_W)),
             overlap_feed(),
         );
         assert!(!both.is_empty());
@@ -518,27 +284,29 @@ mod tests {
 
     #[test]
     fn each_probe_direction_finds_only_its_half() {
-        // Under a cross join the two one-sided modes partition the pairs
+        // Under a cross join the two one-sided bands partition the pairs
         // by which side is younger; together they are the full output.
         let both = run(&mut overlap_op(cross_join()), overlap_feed());
-        let right_band = run(
-            &mut overlap_op(cross_join()).with_probe(Probe::LeftFirst),
+        let right_later = run(
+            &mut overlap_op(cross_join()).with_bounds(IntervalBounds::seq(OVERLAP_W)),
             overlap_feed(),
         );
-        let left_band = run(
-            &mut overlap_op(cross_join()).with_probe(Probe::RightFirst),
+        let right_not_later = run(
+            &mut overlap_op(cross_join()).with_bounds(IntervalBounds::seq_mirror(OVERLAP_W)),
             overlap_feed(),
         );
-        assert!(right_band.iter().all(|t| t.events[0].ts < t.events[1].ts));
-        assert!(left_band.iter().all(|t| t.events[1].ts <= t.events[0].ts));
-        let mut union = right_band;
-        union.extend(left_band);
+        assert!(right_later.iter().all(|t| t.events[0].ts < t.events[1].ts));
+        assert!(right_not_later
+            .iter()
+            .all(|t| t.events[1].ts <= t.events[0].ts));
+        let mut union = right_later;
+        union.extend(right_not_later);
         assert_eq!(multiset(&union), multiset(&both));
     }
 
     #[test]
     fn equi_join_pairs_only_matching_keys() {
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈=",
             SlidingWindows::tumbling(Duration::from_minutes(10)),
             cross_join(),
@@ -558,7 +326,9 @@ mod tests {
 
     #[test]
     fn state_is_released_after_firing() {
-        let mut op = WindowJoinOp::new(
+        // The pair is emitted when its later element arrives; the
+        // watermark only releases state no future tuple can pair with.
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::tumbling(Duration::from_minutes(5)),
             cross_join(),
@@ -567,16 +337,19 @@ mod tests {
         let mut col = VecCollector::default();
         op.process(0, tup(0, 0, 1, 1.0), &mut col).unwrap();
         op.process(1, tup(1, 0, 2, 2.0), &mut col).unwrap();
-        assert!(op.state_bytes() > 0);
+        assert_eq!(col.out.len(), 1, "emitted on arrival");
         op.on_watermark(Timestamp::from_minutes(5), &mut col)
             .unwrap();
-        assert_eq!(op.state_bytes(), 0, "fired windows are evicted");
+        assert!(op.state_bytes() > 0, "both still inside the (−W, W) band");
+        op.on_watermark(Timestamp::from_minutes(7), &mut col)
+            .unwrap();
+        assert_eq!(op.state_bytes(), 0, "W behind the watermark: evicted");
         assert_eq!(col.out.len(), 1);
     }
 
     #[test]
     fn keyed_state_reports_high_water_marks() {
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::tumbling(Duration::from_minutes(5)),
             cross_join(),
@@ -601,7 +374,7 @@ mod tests {
 
     #[test]
     fn memory_limit_aborts_run() {
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::new(Duration::from_minutes(15), Duration::from_minutes(1)),
             cross_join(),
@@ -621,7 +394,7 @@ mod tests {
 
     #[test]
     fn windows_fire_in_order_and_only_once() {
-        let mut op = WindowJoinOp::new(
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::tumbling(Duration::from_minutes(2)),
             cross_join(),
@@ -635,13 +408,12 @@ mod tests {
         op.on_finish(&mut col).unwrap();
         // Each 2-minute window holds 2 lefts × 2 rights = 4 pairs; 5 windows.
         assert_eq!(col.out.len(), 20);
-        assert_eq!(op.emitted(), 20);
     }
 
     #[test]
     fn sparse_streams_skip_empty_windows() {
-        // Events 10 000 minutes apart: the fire loop must jump, not crawl.
-        let mut op = WindowJoinOp::new(
+        // Events 10 000 minutes apart: nothing between them costs work.
+        let mut op = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::new(Duration::from_minutes(5), Duration::from_minutes(1)),
             cross_join(),
@@ -665,7 +437,7 @@ mod tests {
     fn matches_reference_per_window_semantics() {
         // Cross-check against a brute-force per-window enumeration.
         let windows = SlidingWindows::new(Duration::from_minutes(4), Duration::from_minutes(2));
-        let mut op = WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let mut op = IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         let feed: Vec<(usize, Tuple)> = (0..12)
             .map(|m| ((m % 2) as usize, tup((m % 2) as u16, 0, m, m as f64)))
             .collect();
@@ -689,7 +461,7 @@ mod tests {
         // layout must reproduce the per-key brute force (key equality +
         // window co-residency), including pane multiplicities.
         let windows = SlidingWindows::new(Duration::from_minutes(6), Duration::from_minutes(2));
-        let mut op = WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let mut op = IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         let feed: Vec<(usize, Tuple)> = (0..24)
             .map(|i| {
                 let port = (i % 2) as usize;
@@ -750,7 +522,7 @@ mod tests {
         // instances' outputs must equal a single-instance run exactly —
         // the state handoff may neither lose nor duplicate pairs.
         let windows = SlidingWindows::new(Duration::from_minutes(10), Duration::from_minutes(5));
-        let fresh = || WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let fresh = || IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         // Two keys, both sides, spanning several overlapping panes; the
         // cut at minute 12 lands mid-pane so open windows cross it.
         let feed: Vec<(usize, Tuple)> = vec![
@@ -822,17 +594,16 @@ mod tests {
         // Extracting a predicate that matches nothing hands off empty
         // sides and leaves the source's state intact.
         let windows = SlidingWindows::tumbling(Duration::from_minutes(10));
-        let mut op = WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let mut op = IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         let mut col = VecCollector::default();
         op.process(0, tup(0, 1, 1, 1.0), &mut col).unwrap();
-        op.process(1, tup(1, 1, 2, 2.0), &mut col).unwrap();
         let before = op.state_bytes();
         let h = op.extract_shard(&|_| false).expect("supported");
         assert_eq!(op.state_bytes(), before, "no keys matched: state intact");
-        let mut other = WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let mut other = IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         other.absorb_shard(h).unwrap();
         assert_eq!(other.state_bytes(), 0);
-        op.on_finish(&mut col).unwrap();
+        op.process(1, tup(1, 1, 2, 2.0), &mut col).unwrap();
         assert_eq!(col.out.len(), 1, "pair still fires on the source");
     }
 }

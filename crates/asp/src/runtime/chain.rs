@@ -371,12 +371,13 @@ mod tests {
 
     #[test]
     fn watermark_cascades_through_stateful_stage() {
-        use crate::operator::{cross_join, WindowJoinOp};
+        use crate::operator::{cross_join, IntervalJoinOp};
         use crate::tuple::TsRule;
         use crate::window::SlidingWindows;
         // filter → window-join-as-self-input is nonsensical; instead test
-        // join → map: join fires on watermark, map must see the emissions.
-        let join = WindowJoinOp::new(
+        // join → map: the join emits when the pair completes, the map
+        // must see the emission, and the watermark only sets the hold-back.
+        let join = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::tumbling(crate::time::Duration::from_minutes(5)),
             cross_join(),
@@ -394,23 +395,24 @@ mod tests {
         ]);
         let mut out = VecCollector::default();
         chain.process(0, tup(1, 1.0), &mut out).unwrap();
-        chain.process(1, tup(2, 2.0), &mut out).unwrap();
         assert!(out.out.is_empty());
+        chain.process(1, tup(2, 2.0), &mut out).unwrap();
+        assert_eq!(out.out.len(), 1, "completing arrival emits through the map");
+        assert_eq!(out.out[0].key, 7);
         let fwd = chain
             .on_watermark(Timestamp::from_minutes(5), &mut out)
             .unwrap();
         // The join holds its forwarded watermark back by W (= 5 min).
         assert_eq!(fwd, Timestamp(1));
-        assert_eq!(out.out.len(), 1, "join fired and map transformed");
-        assert_eq!(out.out[0].key, 7);
+        assert_eq!(out.out.len(), 1, "the watermark emits nothing");
     }
 
     #[test]
     fn finish_flushes_every_stage() {
-        use crate::operator::{cross_join, WindowJoinOp};
+        use crate::operator::{cross_join, IntervalJoinOp};
         use crate::tuple::TsRule;
         use crate::window::SlidingWindows;
-        let join = WindowJoinOp::new(
+        let join = IntervalJoinOp::sliding(
             "⋈",
             SlidingWindows::tumbling(crate::time::Duration::from_minutes(5)),
             cross_join(),

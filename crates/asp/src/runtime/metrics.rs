@@ -258,7 +258,7 @@ pub(crate) fn sample_loop(
         }
     };
     samples.push(observe(&mut last_ticks, &mut last_t));
-    while !done.load(Ordering::Relaxed) {
+    loop {
         // Sleep the interval in ≤ 20 ms slices: a run finishing mid-sleep
         // still gets its shutdown sample within one slice.
         let mut slept = StdDuration::ZERO;
@@ -267,8 +267,14 @@ pub(crate) fn sample_loop(
             std::thread::sleep(slice);
             slept += slice;
         }
+        if done.load(Ordering::Relaxed) {
+            break;
+        }
         samples.push(observe(&mut last_ticks, &mut last_t));
     }
+    // The shutdown sample is taken unconditionally: a run that ends before
+    // this thread first looks at `done` still gets a two-point series.
+    samples.push(observe(&mut last_ticks, &mut last_t));
     samples
 }
 
@@ -312,6 +318,16 @@ pub(crate) fn progress_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_loop_takes_shutdown_sample_when_done_before_first_check() {
+        // The run is already over when the sampler starts: the series must
+        // still hold the t ≈ 0 sample and the shutdown sample.
+        let done = Arc::new(AtomicBool::new(true));
+        let samples = sample_loop(StdDuration::from_secs(3600), Vec::new(), done);
+        assert_eq!(samples.len(), 2);
+        assert!(samples[0].elapsed_ms <= samples[1].elapsed_ms);
+    }
 
     #[test]
     fn latency_stats_from_empty_is_zero() {

@@ -1107,7 +1107,7 @@ impl Collector for ChannelCollector {
     fn emit(&mut self, tuple: Tuple) {
         // Watermark contract: once a task has told downstream "no tuples
         // below W", it must never emit one (operators hold watermarks back
-        // by their window size to guarantee this — see WindowJoinOp).
+        // by their band span to guarantee this — see IntervalJoinOp).
         #[cfg(feature = "invariant-checks")]
         assert!(
             !self.enforce_emit_floor || tuple.ts >= self.wm_floor,

@@ -37,7 +37,8 @@
 //!    point both sides have identical per-channel watermark tables — the
 //!    frozen pre-marker values — hence identical merged clocks, so the
 //!    handoff composes without loss or duplication (see
-//!    `WindowJoinOp::absorb_shard` for the window-alignment argument).
+//!    `IntervalJoinOp::absorb_shard`: the join keeps no firing cursor, so
+//!    its buffered runs are its whole state).
 //!    It then replays the stash in arrival order and marks the migration
 //!    `completed`, which unfreezes the senders' watermarks.
 //!

@@ -10,7 +10,7 @@
 //! instance receiving the head of one FIFO lane, and the rebalancer
 //! publishing a scripted migration through the *real* `ShardPlan`
 //! (`begin_migration`/`complete`), against the *real* [`Operator`]
-//! implementations (`WindowJoinOp`, `IntervalJoinOp`).
+//! implementations (`IntervalJoinOp`, sliding and interval).
 //!
 //! [`explore`] walks every schedule depth-first with sleep-set (DPOR-lite)
 //! pruning and state-hash deduplication under a time cap, asserting on

@@ -28,9 +28,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::event::{Event, EventType};
-use crate::operator::{
-    cross_join, IntervalBounds, IntervalJoinOp, Operator, VecCollector, WindowJoinOp,
-};
+use crate::operator::{cross_join, IntervalBounds, IntervalJoinOp, Operator, VecCollector};
 use crate::runtime::shard::{slot_of, ShardPlan};
 use crate::time::{Duration, Timestamp};
 use crate::tuple::{TsRule, Tuple};
@@ -81,7 +79,7 @@ impl OpSpec {
             OpSpec::WindowJoin {
                 size_min,
                 slide_min,
-            } => Box::new(WindowJoinOp::new(
+            } => Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 SlidingWindows::new(
                     Duration::from_minutes(size_min),

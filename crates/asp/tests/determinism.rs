@@ -17,7 +17,6 @@ use asp::event::{Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, SinkId};
 use asp::operator::{
     cross_join, FilterOp, IntervalBounds, IntervalJoinOp, NextOccurrenceOp, UnaryPredicate,
-    WindowJoinOp,
 };
 use asp::runtime::{Executor, ExecutorConfig};
 use asp::time::{Duration, Timestamp};
@@ -90,7 +89,7 @@ fn window_join_multiset_is_batch_invariant() {
             Exchange::Hash,
             2,
             Box::new(|_| {
-                Box::new(WindowJoinOp::new(
+                Box::new(IntervalJoinOp::sliding(
                     "⋈w",
                     SlidingWindows::new(Duration::from_minutes(6), Duration::from_minutes(2)),
                     cross_join(),

@@ -1,10 +1,12 @@
 //! Property-based equivalence of the key-partitioned joins against naive
 //! reference oracles.
 //!
-//! Both binary temporal joins buffer their sides in hash-partitioned,
-//! ts-ordered per-key runs and evaluate windows incrementally (band
-//! probing). These are pure layout/scheduling optimizations: the output
-//! *multiset* must be identical to the textbook evaluation. The oracles
+//! The band join buffers its sides in hash-partitioned, ts-ordered per-key
+//! runs and finds each pair when its later element arrives; a sliding join
+//! admits a candidate by the pane rule instead of rescanning panes when
+//! the watermark closes them. These are pure layout/scheduling
+//! optimizations: the output *multiset* must be identical to the textbook
+//! evaluation. The oracles
 //! here do it the slow, obviously-correct way — enumerate every
 //! left × right pair, re-derive window membership (with pane multiplicity)
 //! or interval containment from scratch — and the property compares full
@@ -15,19 +17,20 @@
 //! degenerate case of Section 4.3.3), timestamp distribution, window
 //! size × slide, interval bound shape (sequence / conjunction), θ, and
 //! watermark cadence (`wm_every` — the per-batch punctuation analog, which
-//! varies how aggressively state is evicted mid-stream).
+//! varies how aggressively state is evicted mid-stream), and cross-port
+//! arrival skew: between two watermarks tuples may arrive in any order, so
+//! a right can arrive before older lefts.
 //!
-//! The window join's two plan-level modes are held to the same oracle:
+//! The sliding join's two plan-level modes are held to the same oracle:
 //! emit-once output must be the distinct set of both the per-pane output
-//! and the naive reference, and a one-sided probe must reproduce the
-//! two-sided output whenever θ implies the order it relies on.
+//! and the naive reference, and a one-sided band must reproduce the
+//! two-sided `(−W, W)` output whenever θ implies the order it relies on.
 
 #![allow(clippy::unwrap_used)]
 
 use asp::event::{Event, EventType};
 use asp::operator::{
     cross_join, Collector, Emission, IntervalBounds, IntervalJoinOp, JoinPredicate, Operator,
-    Probe, WindowJoinOp,
 };
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, TsRule, Tuple};
@@ -64,14 +67,34 @@ fn tuple_of(key: u32, minute: i64, value: u32, port: usize) -> Tuple {
 /// (the runtime drops late tuples before they reach an operator), with a
 /// punctuated watermark every `wm_every` tuples and a final flush.
 fn run_op(op: &mut dyn Operator, items: &[Item], wm_every: usize) -> Vec<MatchKey> {
+    run_op_skewed(op, items, wm_every, false)
+}
+
+/// [`run_op`], optionally with arrival skew: each batch of `wm_every`
+/// tuples between two watermarks arrives newest first. Nothing is late —
+/// every tuple is at or after the last watermark — but later tuples, on
+/// either port, overtake older ones.
+fn run_op_skewed(
+    op: &mut dyn Operator,
+    items: &[Item],
+    wm_every: usize,
+    skew: bool,
+) -> Vec<MatchKey> {
     let mut sorted = items.to_vec();
     sorted.sort_by_key(|&(_, _, m, _)| m);
     let mut sink = Sink::default();
-    for (i, &(port, key, minute, value)) in sorted.iter().enumerate() {
-        op.process(port, tuple_of(key, minute, value, port), &mut sink)
-            .unwrap();
-        if (i + 1) % wm_every == 0 {
-            op.on_watermark(Timestamp::from_minutes(minute), &mut sink)
+    for batch in sorted.chunks(wm_every) {
+        let mut arrival = batch.to_vec();
+        if skew {
+            arrival.reverse();
+        }
+        for &(port, key, minute, value) in &arrival {
+            op.process(port, tuple_of(key, minute, value, port), &mut sink)
+                .unwrap();
+        }
+        if batch.len() == wm_every {
+            let (_, _, newest, _) = batch[batch.len() - 1];
+            op.on_watermark(Timestamp::from_minutes(newest), &mut sink)
                 .unwrap();
         }
     }
@@ -147,8 +170,7 @@ fn interval_reference(items: &[Item], bounds: IntervalBounds, use_seq: bool) -> 
             if l.key != r.key || !theta(&l, &r) {
                 continue;
             }
-            if r.ts > l.ts.saturating_add(bounds.lower) && r.ts < l.ts.saturating_add(bounds.upper)
-            {
+            if bounds.contains(l.ts, r.ts) {
                 keys.push(l.join(&r, TsRule::Max).match_key());
             }
         }
@@ -158,19 +180,27 @@ fn interval_reference(items: &[Item], bounds: IntervalBounds, use_seq: bool) -> 
 }
 
 /// θ implying an order between the sides' working timestamps, with the
-/// one-sided probe it licenses: `l < r` (a sequence) or `r < l` (a
+/// one-sided band it licenses: `l < r` (a sequence) or `r < l` (a
 /// reordered sequence).
-fn ordered_theta(left_first: bool) -> (JoinPredicate, Probe) {
+fn ordered_theta(left_first: bool, w: Duration) -> (JoinPredicate, IntervalBounds) {
     if left_first {
         (
             Arc::new(|l: &Tuple, r: &Tuple| l.ts_end() < r.ts_begin()),
-            Probe::LeftFirst,
+            IntervalBounds::seq(w),
         )
     } else {
         (
             Arc::new(|l: &Tuple, r: &Tuple| r.ts_end() < l.ts_begin()),
-            Probe::RightFirst,
+            IntervalBounds::seq_mirror(w),
         )
+    }
+}
+
+fn emission_of(once: bool) -> Emission {
+    if once {
+        Emission::Once
+    } else {
+        Emission::PerPane
     }
 }
 
@@ -199,17 +229,52 @@ proptest! {
         w_min in 1i64..=6,
         slide_div in 1i64..=4,
         use_seq in any::<bool>(),
+        once in any::<bool>(),
         wm_every in 1usize..=8,
     ) {
         let items: Vec<Item> =
             items.into_iter().map(|(p, k, m, v)| (p, k % max_key, m, v)).collect();
         let slide = Duration::from_minutes((w_min / slide_div).max(1));
         let windows = SlidingWindows::new(Duration::from_minutes(w_min), slide);
-        let mut op = WindowJoinOp::new("⋈", windows, theta_of(use_seq), TsRule::Max);
+        let emission = emission_of(once);
+        let mut op = IntervalJoinOp::sliding("⋈", windows, theta_of(use_seq), TsRule::Max)
+            .with_emission(emission);
         let got = run_op(&mut op, &items, wm_every);
-        let want = window_reference(&items, windows, use_seq);
+        let want = window_reference_with(&items, windows, &theta_of(use_seq), emission);
         prop_assert_eq!(got, want);
         prop_assert_eq!(op.state_bytes(), 0, "full eviction after finish");
+    }
+
+    #[test]
+    fn arrival_skew_inside_the_watermark_matches_reference(
+        max_key in 1u32..=5,
+        items in arb_items(5),
+        w_min in 1i64..=6,
+        slide_div in 1i64..=4,
+        use_seq in any::<bool>(),
+        once in any::<bool>(),
+        wm_every in 1usize..=8,
+    ) {
+        // Pane-end firing saw every pane complete; arrival probing must
+        // also find the pairs whose right overtook older lefts.
+        let items: Vec<Item> =
+            items.into_iter().map(|(p, k, m, v)| (p, k % max_key, m, v)).collect();
+        let w = Duration::from_minutes(w_min);
+        let slide = Duration::from_minutes((w_min / slide_div).max(1));
+        let windows = SlidingWindows::new(w, slide);
+        let emission = emission_of(once);
+        let mut sliding = IntervalJoinOp::sliding("⋈", windows, theta_of(use_seq), TsRule::Max)
+            .with_emission(emission);
+        prop_assert_eq!(
+            run_op_skewed(&mut sliding, &items, wm_every, true),
+            window_reference_with(&items, windows, &theta_of(use_seq), emission)
+        );
+        let bounds = IntervalBounds::conjunction(w);
+        let mut interval = IntervalJoinOp::new("i⋈", bounds, theta_of(use_seq), TsRule::Max);
+        prop_assert_eq!(
+            run_op_skewed(&mut interval, &items, wm_every, true),
+            interval_reference(&items, bounds, use_seq)
+        );
     }
 
     #[test]
@@ -249,8 +314,8 @@ proptest! {
             items.into_iter().map(|(p, k, m, v)| (p, k % max_key, m, v)).collect();
         let slide = Duration::from_minutes((w_min / slide_div).max(1));
         let windows = SlidingWindows::new(Duration::from_minutes(w_min), slide);
-        let mut per_pane = WindowJoinOp::new("⋈", windows, theta_of(use_seq), TsRule::Min);
-        let mut once = WindowJoinOp::new("⋈", windows, theta_of(use_seq), TsRule::Min)
+        let mut per_pane = IntervalJoinOp::sliding("⋈", windows, theta_of(use_seq), TsRule::Min);
+        let mut once = IntervalJoinOp::sliding("⋈", windows, theta_of(use_seq), TsRule::Min)
             .with_emission(Emission::Once);
         let got = run_op(&mut once, &items, wm_every);
         let multi = run_op(&mut per_pane, &items, wm_every);
@@ -276,15 +341,16 @@ proptest! {
     ) {
         let items: Vec<Item> =
             items.into_iter().map(|(p, k, m, v)| (p, k % max_key, m, v)).collect();
+        let w = Duration::from_minutes(w_min);
         let slide = Duration::from_minutes((w_min / slide_div).max(1));
-        let windows = SlidingWindows::new(Duration::from_minutes(w_min), slide);
-        let emission = if once { Emission::Once } else { Emission::PerPane };
-        let (theta, probe) = ordered_theta(left_first);
-        let mut both = WindowJoinOp::new("⋈", windows, theta.clone(), TsRule::Min)
+        let windows = SlidingWindows::new(w, slide);
+        let emission = emission_of(once);
+        let (theta, band) = ordered_theta(left_first, w);
+        let mut both = IntervalJoinOp::sliding("⋈", windows, theta.clone(), TsRule::Min)
             .with_emission(emission);
-        let mut one = WindowJoinOp::new("⋈", windows, theta.clone(), TsRule::Min)
+        let mut one = IntervalJoinOp::sliding("⋈", windows, theta.clone(), TsRule::Min)
             .with_emission(emission)
-            .with_probe(probe);
+            .with_bounds(band);
         let got = run_op(&mut one, &items, wm_every);
         prop_assert_eq!(&got, &run_op(&mut both, &items, wm_every));
         prop_assert_eq!(got, window_reference_with(&items, windows, &theta, emission));

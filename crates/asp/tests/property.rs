@@ -8,7 +8,6 @@ use std::sync::Arc;
 use asp::event::{Event, EventType};
 use asp::operator::{
     cross_join, DedupOp, IntervalBounds, IntervalJoinOp, Operator, VecCollector, WindowAggregateOp,
-    WindowJoinOp,
 };
 use asp::time::{Duration, Timestamp, MINUTE_MS};
 use asp::tuple::{MatchKey, TsRule, Tuple};
@@ -78,7 +77,7 @@ proptest! {
             Duration::from_minutes(w_min),
             Duration::from_minutes(s_min),
         );
-        let mut op = WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let mut op = IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         let got = keys_of(&drive_two(&mut op, &left, &right));
 
         // Brute force over all aligned windows intersecting the data.

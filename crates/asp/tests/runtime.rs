@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use asp::event::{Event, EventType};
 use asp::graph::{Exchange, GraphBuilder};
-use asp::operator::{cross_join, FilterOp, MapOp, UnionOp, WindowJoinOp};
+use asp::operator::{cross_join, FilterOp, IntervalJoinOp, MapOp, UnionOp};
 use asp::runtime::{key_partition, Executor, ExecutorConfig};
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, TsRule, Tuple};
@@ -85,7 +85,7 @@ fn window_join_pipeline_is_deterministic() {
             Exchange::Hash,
             1,
             Box::new(|_| {
-                Box::new(WindowJoinOp::new(
+                Box::new(IntervalJoinOp::sliding(
                     "⋈",
                     SlidingWindows::tumbling(Duration::from_minutes(10)),
                     cross_join(),
@@ -120,7 +120,7 @@ fn keyed_parallelism_preserves_semantics() {
             Exchange::Hash,
             par,
             Box::new(|_| {
-                Box::new(WindowJoinOp::new(
+                Box::new(IntervalJoinOp::sliding(
                     "⋈=",
                     SlidingWindows::tumbling(Duration::from_minutes(5)),
                     cross_join(),
@@ -168,7 +168,7 @@ fn memory_limit_failure_aborts_pipeline() {
         1,
         Box::new(|_| {
             Box::new(
-                WindowJoinOp::new(
+                IntervalJoinOp::sliding(
                     "⋈",
                     SlidingWindows::new(Duration::from_minutes(100), Duration::from_minutes(1)),
                     cross_join(),
@@ -231,7 +231,7 @@ fn resource_sampling_produces_series() {
         Exchange::Hash,
         1,
         Box::new(|_| {
-            Box::new(WindowJoinOp::new(
+            Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 SlidingWindows::tumbling(Duration::from_minutes(50)),
                 cross_join(),
@@ -321,7 +321,7 @@ fn chaining_does_not_change_results() {
             Exchange::Hash,
             1,
             Box::new(|_| {
-                Box::new(WindowJoinOp::new(
+                Box::new(IntervalJoinOp::sliding(
                     "⋈",
                     SlidingWindows::new(Duration::from_minutes(5), Duration::from_minutes(1)),
                     cross_join(),

@@ -6,7 +6,6 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use asp::event::{Event, EventType};
 use asp::operator::{
     cross_join, Collector, IntervalBounds, IntervalJoinOp, Operator, WindowAggregateOp,
-    WindowJoinOp,
 };
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{TsRule, Tuple};
@@ -53,7 +52,7 @@ fn bench_window_joins(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("sliding", w_min), &w_min, |b, &w_min| {
             let events = stream(n, 4, 1);
             b.iter(|| {
-                let mut op = WindowJoinOp::new(
+                let mut op = IntervalJoinOp::sliding(
                     "⋈",
                     SlidingWindows::new(Duration::from_minutes(w_min), Duration::from_minutes(1)),
                     cross_join(),

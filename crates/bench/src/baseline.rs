@@ -4,10 +4,11 @@
 //! before the key-partitioned state rework: each side is one global
 //! ts-ordered `BTreeMap` over *all* keys, pane probing range-scans the
 //! whole opposite pane and filters `l.key == r.key` pair by pair, and
-//! eviction removes tuples one `BTreeMap::remove` at a time. Semantics
-//! (incremental band probing, pane multiplicity, `(ts, seq)` emission
-//! order) are identical to `asp::operator::WindowJoinOp` — only the state
-//! layout differs — so `window_join_keyed` bench runs can report
+//! eviction removes tuples one `BTreeMap::remove` at a time. It fires
+//! panes when the watermark closes them; its match multiset (pane
+//! multiplicity included) is identical to the sliding
+//! `asp::operator::IntervalJoinOp`, which emits on arrival from per-key
+//! runs — so `window_join_keyed` bench runs can report
 //! keyed-vs-global-scan ratios from the same binary and the CI smoke gate
 //! can fail if the keyed layout ever regresses below this baseline.
 //!
@@ -182,7 +183,7 @@ impl Operator for GlobalScanWindowJoinOp {
 mod tests {
     use super::*;
     use asp::event::{Event, EventType};
-    use asp::operator::{cross_join, WindowJoinOp};
+    use asp::operator::{cross_join, IntervalJoinOp};
 
     fn tup(port: u16, key: u32, minute: i64, v: f64) -> Tuple {
         Tuple::from_event(Event::new(
@@ -208,7 +209,7 @@ mod tests {
     #[test]
     fn baseline_agrees_with_keyed_window_join() {
         let windows = SlidingWindows::new(Duration::from_minutes(6), Duration::from_minutes(2));
-        let mut keyed = WindowJoinOp::new("⋈", windows, cross_join(), TsRule::Max);
+        let mut keyed = IntervalJoinOp::sliding("⋈", windows, cross_join(), TsRule::Max);
         let mut global = GlobalScanWindowJoinOp::new("⋈g", windows, cross_join(), TsRule::Max);
         let mut out_k = Sink::default();
         let mut out_g = Sink::default();

@@ -20,7 +20,8 @@
 //!   heaviest Section-5 operator, showing batching's effect when compute
 //!   shares the profile with communication.
 //! * **keyed-join sweep** — the same window-join graph swept over key
-//!   cardinality K, once with the key-partitioned [`WindowJoinOp`] and
+//!   cardinality K, once with the key-partitioned sliding
+//!   [`IntervalJoinOp`] and
 //!   once with the frozen pre-rework
 //!   [`GlobalScanWindowJoinOp`](crate::baseline::GlobalScanWindowJoinOp),
 //!   plus an interval-join variant. The keyed/global-scan ratio at K = 64
@@ -35,9 +36,7 @@ use std::sync::Arc;
 use asp::event::Attr;
 use asp::event::{Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, OperatorFactory, SinkId};
-use asp::operator::{
-    cross_join, Cmp, FilterOp, FilterSpec, IntervalBounds, IntervalJoinOp, MapOp, WindowJoinOp,
-};
+use asp::operator::{cross_join, Cmp, FilterOp, FilterSpec, IntervalBounds, IntervalJoinOp, MapOp};
 use asp::runtime::{Executor, ExecutorConfig, RunReport};
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{TsRule, Tuple};
@@ -280,7 +279,7 @@ pub fn run_window_join(
         left,
         right,
         Box::new(|_| {
-            Box::new(WindowJoinOp::new(
+            Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 join_windows(),
                 cross_join(),
@@ -303,7 +302,7 @@ pub fn run_window_join_keyed(
         left,
         right,
         Box::new(|_| {
-            Box::new(WindowJoinOp::new(
+            Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 join_windows(),
                 band_theta(),
@@ -359,7 +358,7 @@ pub fn run_window_join_sharded(
         &[(a, Exchange::Hash), (b, Exchange::Hash)],
         shards,
         Box::new(|_| {
-            Box::new(WindowJoinOp::new(
+            Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 join_windows(),
                 band_theta(),

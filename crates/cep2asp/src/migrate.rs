@@ -15,7 +15,8 @@
 //!
 //! The pass probes *real* operator instances for
 //! `Operator::shard_handoff_supported` (constructing a representative
-//! `WindowJoinOp` / `IntervalJoinOp` / `WindowAggregateOp` per plan node),
+//! sliding or interval `IntervalJoinOp` / `WindowAggregateOp` per plan
+//! node),
 //! so the verdicts can never drift from the runtime's actual capability
 //! surface. All findings are warnings: every plan still runs, but a
 //! deployment that ignores them either cannot rebalance (M001/M002), may
@@ -41,9 +42,7 @@
 
 use std::fmt;
 
-use asp::operator::{
-    cross_join, IntervalBounds, IntervalJoinOp, Operator, WindowAggregateOp, WindowJoinOp,
-};
+use asp::operator::{cross_join, IntervalBounds, IntervalJoinOp, Operator, WindowAggregateOp};
 use asp::tuple::TsRule;
 use asp::window::SlidingWindows;
 
@@ -177,7 +176,7 @@ fn handoff_capable(node: &PlanNode) -> Option<bool> {
     match node {
         PlanNode::Join { windowing, .. } => {
             let op: Box<dyn Operator> = match *windowing {
-                JoinWindowing::Sliding { size, slide } => Box::new(WindowJoinOp::new(
+                JoinWindowing::Sliding { size, slide } => Box::new(IntervalJoinOp::sliding(
                     "probe",
                     SlidingWindows::new(size, slide),
                     cross_join(),

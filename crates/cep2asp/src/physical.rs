@@ -11,10 +11,10 @@
 //! Sliding joins get two plan properties at lowering: an emission role
 //! (a join feeding another join emits each pair once, see
 //! `input_emission`; every other sliding join keeps the paper's
-//! per-pane duplicates) and a probe direction (see `probe_of`). The θ
-//! condition is compiled once into accessors at resolved constituent
-//! positions (`join_theta`), so evaluating a candidate pair allocates
-//! nothing.
+//! per-pane duplicates) and the band an arriving tuple probes (see
+//! `probe_of`). The θ condition is compiled once into accessors at
+//! resolved constituent positions (`join_theta`), so evaluating a
+//! candidate pair allocates nothing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -24,10 +24,9 @@ use asp::event::{Attr, Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, NodeId, SinkId, SinkMode, SourceConfig};
 use asp::operator::{
     Cmp, DedupOp, Emission, FilterOp, FilterSpec, IntervalBounds, IntervalJoinOp, JoinPredicate,
-    MapOp, NextOccurrenceOp, Operator, Probe, UnaryPredicate, UnionOp, WindowAggregateOp,
-    WindowJoinOp,
+    MapOp, NextOccurrenceOp, Operator, UnaryPredicate, UnionOp, WindowAggregateOp,
 };
-use asp::time::Timestamp;
+use asp::time::{Duration, Timestamp};
 use asp::tuple::{TsRule, Tuple};
 use asp::window::SlidingWindows;
 
@@ -472,7 +471,10 @@ impl<'a> Builder<'a> {
             } => {
                 let ll = left.layout();
                 let rl = right.layout();
-                let probe = probe_of(left, right, order_pairs);
+                let band = match *windowing {
+                    JoinWindowing::Sliding { size, .. } => probe_of(left, right, order_pairs, size),
+                    JoinWindowing::Interval { lower, upper } => IntervalBounds { lower, upper },
+                };
                 let l = self.node(left, child(0), child_role)?;
                 let r = self.node(right, child(1), child_role)?;
                 let shard_par = match partitioning {
@@ -505,35 +507,25 @@ impl<'a> Builder<'a> {
                 let windowing = *windowing;
                 let limit = self.cfg.memory_limit;
                 let name = format!("⋈{windowing}");
-                let factory: Box<dyn Fn(usize) -> Box<dyn Operator> + Send> =
-                    Box::new(move |_| match windowing {
-                        JoinWindowing::Sliding { size, slide } => {
-                            let mut op = WindowJoinOp::new(
-                                name.clone(),
-                                SlidingWindows::new(size, slide),
-                                theta.clone(),
-                                TsRule::Min,
-                            )
-                            .with_emission(emission)
-                            .with_probe(probe);
-                            if let Some(l) = limit {
-                                op = op.with_memory_limit(l);
-                            }
-                            Box::new(op)
+                let factory: Box<dyn Fn(usize) -> Box<dyn Operator> + Send> = Box::new(move |_| {
+                    let mut op = match windowing {
+                        JoinWindowing::Sliding { size, slide } => IntervalJoinOp::sliding(
+                            name.clone(),
+                            SlidingWindows::new(size, slide),
+                            theta.clone(),
+                            TsRule::Min,
+                        )
+                        .with_emission(emission)
+                        .with_bounds(band),
+                        JoinWindowing::Interval { .. } => {
+                            IntervalJoinOp::new(name.clone(), band, theta.clone(), TsRule::Min)
                         }
-                        JoinWindowing::Interval { lower, upper } => {
-                            let mut op = IntervalJoinOp::new(
-                                name.clone(),
-                                IntervalBounds { lower, upper },
-                                theta.clone(),
-                                TsRule::Min,
-                            );
-                            if let Some(l) = limit {
-                                op = op.with_memory_limit(l);
-                            }
-                            Box::new(op)
-                        }
-                    });
+                    };
+                    if let Some(l) = limit {
+                        op = op.with_memory_limit(l);
+                    }
+                    Box::new(op)
+                });
                 let id = self.g.nary(
                     &[(l.id, Exchange::Hash), (r.id, Exchange::Hash)],
                     par,
@@ -1103,18 +1095,24 @@ fn ts_is_min(n: &PlanNode) -> bool {
     }
 }
 
-/// The band probe a sliding join over `left ⋈ right` needs.
+/// The band `r.ts − l.ts ∈ (lower, upper)` an arriving tuple of a
+/// sliding join over `left ⋈ right` with window size `w` probes.
 ///
-/// If every right variable is ordered after some left variable by the
-/// join's own order pairs (θ enforces them strictly), each right
-/// constituent is younger than the oldest left one; when both working
-/// timestamps are constituent minima ([`ts_is_min`]) θ therefore implies
-/// `l.ts < r.ts`, and the left-band probe — which finds only pairs with
-/// `r.ts ≤ l.ts` — can be skipped ([`Probe::LeftFirst`]). The mirror case
-/// gives [`Probe::RightFirst`]; everything else probes both bands.
-fn probe_of(left: &PlanNode, right: &PlanNode, order_pairs: &[(VarId, VarId)]) -> Probe {
+/// Every pane-sharing pair lies in `(−W, W)`. If every right variable is
+/// ordered after some left variable by the join's own order pairs (θ
+/// enforces them strictly), each right constituent is younger than the
+/// oldest left one; when both working timestamps are constituent minima
+/// ([`ts_is_min`]) θ therefore implies `l.ts < r.ts`, and the band narrows
+/// to `(0, W)` ([`IntervalBounds::seq`]). The mirror case narrows it to
+/// `r.ts ≤ l.ts` ([`IntervalBounds::seq_mirror`]).
+fn probe_of(
+    left: &PlanNode,
+    right: &PlanNode,
+    order_pairs: &[(VarId, VarId)],
+    w: Duration,
+) -> IntervalBounds {
     if !ts_is_min(left) || !ts_is_min(right) {
-        return Probe::Both;
+        return IntervalBounds::conjunction(w);
     }
     let (ll, rl) = (left.layout(), right.layout());
     let each_after_some = |later: &[VarId], earlier: &[VarId]| {
@@ -1126,11 +1124,11 @@ fn probe_of(left: &PlanNode, right: &PlanNode, order_pairs: &[(VarId, VarId)]) -
             })
     };
     if each_after_some(&rl, &ll) {
-        Probe::LeftFirst
+        IntervalBounds::seq(w)
     } else if each_after_some(&ll, &rl) {
-        Probe::RightFirst
+        IntervalBounds::seq_mirror(w)
     } else {
-        Probe::Both
+        IntervalBounds::conjunction(w)
     }
 }
 
@@ -1267,29 +1265,31 @@ mod tests {
                 .unwrap()
         };
         let (a, b, c) = (scan(0), scan(1), scan(2));
-        assert_eq!(probe_of(&a, &b, &[(0, 1)]), Probe::LeftFirst);
-        assert_eq!(probe_of(&b, &a, &[(0, 1)]), Probe::RightFirst);
-        assert_eq!(probe_of(&a, &b, &[]), Probe::Both, "AND: no order");
+        let w = Duration::from_minutes(4);
+        let both = IntervalBounds::conjunction(w);
+        assert_eq!(probe_of(&a, &b, &[(0, 1)], w), IntervalBounds::seq(w));
+        assert_eq!(
+            probe_of(&b, &a, &[(0, 1)], w),
+            IntervalBounds::seq_mirror(w)
+        );
+        assert_eq!(probe_of(&a, &b, &[], w), both, "AND: no order");
         let Some(PlanNode::Join { left, right, .. }) = find_join(&plan.root, 2) else {
             panic!("SEQ3 has a join over all three variables");
         };
         // Every join of a SEQ carries the cross-side pairs: one direction.
-        assert_ne!(
-            probe_of(left, right, &[(0, 2), (1, 2), (0, 1)]),
-            Probe::Both
-        );
+        assert_ne!(probe_of(left, right, &[(0, 2), (1, 2), (0, 1)], w), both);
         // A projection keeps its input's working timestamp.
         let pb = PlanNode::Project {
             input: Box::new(b.clone()),
             layout: vec![1],
         };
-        assert_eq!(probe_of(&a, &pb, &[(0, 1)]), Probe::LeftFirst);
+        assert_eq!(probe_of(&a, &pb, &[(0, 1)], w), IntervalBounds::seq(w));
         let union = PlanNode::Union {
             inputs: vec![b.clone(), c.clone()],
         };
         assert_eq!(
-            probe_of(&a, &union, &[(0, 1), (0, 2)]),
-            Probe::Both,
+            probe_of(&a, &union, &[(0, 1), (0, 2)], w),
+            both,
             "a union's working ts is not a constituent minimum"
         );
     }

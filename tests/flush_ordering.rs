@@ -23,7 +23,7 @@ use std::time::Duration as StdDuration;
 
 use asp::event::{Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, SinkId, SourceConfig};
-use asp::operator::{cross_join, WindowJoinOp};
+use asp::operator::{cross_join, IntervalJoinOp};
 use asp::runtime::{Executor, ExecutorConfig, RunReport};
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, TsRule};
@@ -77,7 +77,7 @@ fn run(columnar: bool, batch_size: usize, idle_flush: StdDuration) -> (RunReport
         &[(l, Exchange::Hash), (r, Exchange::Hash)],
         1,
         Box::new(|_| {
-            Box::new(WindowJoinOp::new(
+            Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 SlidingWindows::new(Duration::from_minutes(4), Duration::from_minutes(2)),
                 cross_join(),

@@ -189,3 +189,50 @@ fn interval_join_without_drop_late_recovers_stragglers() {
     // holds for the conjunction's symmetric bounds.
     assert_eq!(run.dedup_matches(), want);
 }
+
+/// A late burst: every event of minutes [10, 20) arrives only after its
+/// stream has reached minute 40, far beyond a two-minute
+/// `watermark_lag`. Under SEQ3 with arrival-driven keyed sliding joins
+/// (O3) and with interval joins (O1) alike, exactly the burst is counted
+/// in `late_dropped`, and the matches are the oracle's on the survivors.
+#[test]
+fn late_burst_beyond_lag_is_counted_and_survivors_match_the_oracle() {
+    let (sorted, _) = disordered(29);
+    let p = builders::seq(
+        &[(Q, "Q"), (V, "V"), (PM10, "PM10")],
+        WindowSpec::minutes(4),
+        vec![Predicate::same_id(0, 1), Predicate::same_id(1, 2)],
+    );
+    let minute = |e: &Event| e.ts.millis() / asp::time::MINUTE_MS;
+    let in_burst = |e: &Event| (10..20).contains(&minute(e));
+    let mut survivors = sorted.clone();
+    let mut streams = HashMap::new();
+    let mut burst = 0usize;
+    for (t, events) in &sorted.streams {
+        let (late, rest): (Vec<Event>, Vec<Event>) = events.iter().partition(|e| in_burst(e));
+        if [Q, V, PM10].contains(t) {
+            burst += late.len();
+        }
+        let cut = rest.partition_point(|e| minute(e) < 40);
+        let mut arrival = rest[..cut].to_vec();
+        arrival.extend(late);
+        arrival.extend_from_slice(&rest[cut..]);
+        streams.insert(*t, arrival);
+        survivors.streams.insert(*t, rest);
+    }
+    let want = oracle(&p, &survivors);
+    assert!(burst > 0 && !want.is_empty());
+    assert_ne!(want, oracle(&p, &sorted), "the burst carries matches");
+    let phys = PhysicalConfig {
+        watermark_lag: Duration::from_minutes(2),
+        watermark_every: 1,
+        ..Default::default()
+    };
+    for (name, opts) in [("O3", MapperOptions::o3()), ("O1", MapperOptions::o1())] {
+        let run = run_pattern(&p, &opts, &streams, &phys, &ExecutorConfig::default())
+            .expect("run completes despite the burst");
+        let dropped: u64 = run.report.nodes.iter().map(|n| n.late_dropped).sum();
+        assert_eq!(dropped, burst as u64, "{name}: every burst event, once");
+        assert_eq!(run.dedup_matches(), want, "{name}: oracle on survivors");
+    }
+}

@@ -27,7 +27,7 @@ use std::time::Duration as StdDuration;
 
 use asp::event::{Event, EventType};
 use asp::graph::{Exchange, GraphBuilder, SinkId, SourceConfig};
-use asp::operator::{cross_join, JoinPredicate, WindowJoinOp};
+use asp::operator::{cross_join, IntervalJoinOp, JoinPredicate};
 use asp::runtime::{Executor, ExecutorConfig, RunReport};
 use asp::time::{Duration, Timestamp};
 use asp::tuple::{MatchKey, TsRule, Tuple};
@@ -129,7 +129,7 @@ fn run_case(case: &Case, shards: usize, theta: JoinPredicate) -> (RunReport, Sin
         &[(l, Exchange::Hash), (r, Exchange::Hash)],
         shards,
         Box::new(move |_| {
-            Box::new(WindowJoinOp::new(
+            Box::new(IntervalJoinOp::sliding(
                 "⋈",
                 SlidingWindows::new(Duration::from_minutes(size), Duration::from_minutes(slide)),
                 theta.clone(),
@@ -259,7 +259,7 @@ fn adaptive_rebalancing_migrates_and_preserves_output() {
             &[(l, Exchange::Hash), (r, Exchange::Hash)],
             shards,
             Box::new(move |_| {
-                Box::new(WindowJoinOp::new(
+                Box::new(IntervalJoinOp::sliding(
                     "⋈",
                     SlidingWindows::tumbling(Duration::from_minutes(1)),
                     theta.clone(),
@@ -364,7 +364,7 @@ fn migration_racing_stream_end_preserves_output() {
             &[(l, Exchange::Hash), (r, Exchange::Hash)],
             shards,
             Box::new(move |_| {
-                Box::new(WindowJoinOp::new(
+                Box::new(IntervalJoinOp::sliding(
                     "⋈",
                     SlidingWindows::tumbling(Duration::from_minutes(1)),
                     theta.clone(),
